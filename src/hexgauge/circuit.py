@@ -105,8 +105,8 @@ def pauli_expand(c: tuple[int, int], cfg: LatticeConfig) -> list[PauliTerm]:
         coeff = float(exact[sites])
         if abs(coeff) < COEFF_EPS:
             continue
-        if fully_dynamic:
-            assert len(sites) % 2 == 0, "odd z-string on a dynamical chain"
+        if fully_dynamic and len(sites) % 2:
+            raise RuntimeError(f"odd z-string {sorted(sites)} on a dynamical chain")
         terms.append(PauliTerm(coeff, x_site, frozenset(sites)))
     return terms
 

@@ -11,6 +11,11 @@ with outside spins fixed down.  Periodic BC drops the reference constant:
 built directly on the global-flip quotient basis.  The exponent c counts
 up->down transitions around the six-neighbor chain and is invariant under
 the global flip, which is what makes the quotient construction consistent.
+
+One array kernel, flip_exponent, computes c over a whole state array for
+any cyclic chain; bond_diagonal does the same for the diagonal.  A single
+assembler builds the closed-full, periodic-quotient and periodic-full
+bases from them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
-from .spinbasis import canonicalize, enumerate_basis
+from .lattice import BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6
+from .spinbasis import state_array
 
 SQRT3 = math.sqrt(3.0)
 
@@ -51,10 +56,9 @@ def j_zz(lam: float) -> float:
 
 @dataclass
 class SparseOperator:
-    """Real symmetric sparse matrix over an explicit, ordered basis."""
+    """Real symmetric sparse matrix over the basis states 0 .. dim-1."""
 
     matrix: scipy.sparse.csr_matrix
-    basis: list[int]
     cfg: LatticeConfig
     label: str
 
@@ -65,10 +69,6 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def index_of(self, state: int) -> int:
-        # Both supported bases are contiguous integer ranges.
-        return state
-
     def export_mtx(self, path: str):
         """MatrixMarket coordinate export (symmetric real)."""
         scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field="real", symmetry="symmetric")
@@ -77,40 +77,64 @@ class SparseOperator:
 @lru_cache(maxsize=None)
 def chain_table(cfg: LatticeConfig) -> tuple[tuple[int, ...], ...]:
     """Per-plaquette six-neighbor chain as site indices (-1 = outside)."""
-    table = []
-    for p in range(cfg.n_plaq):
-        table.append(tuple(
-            -1 if q is None else cfg.site(*q)
-            for q in neighbor_chain6(cfg.coord(p), cfg)
-        ))
-    return tuple(table)
+    return tuple(chain_sites(neighbor_chain6(cfg.coord(p), cfg), cfg) for p in range(cfg.n_plaq))
 
 
-def chain_bits(s: int, c: tuple[int, int], cfg: LatticeConfig) -> list[int]:
-    """Occupations of the six-neighbor chain of c; outside slots read down."""
-    sites = chain_table(cfg)[cfg.site(*c)]
-    return [0 if q < 0 else (s >> q) & 1 for q in sites]
+def flip_exponent(states: np.ndarray, chain) -> np.ndarray:
+    """c for every state of an int64 array: the number of cyclic chain
+    positions K whose site is up while the site at K+1 is down.
+
+    chain lists site indices (6 for a plaquette, 8 for a vertical pair);
+    -1 marks a site outside the lattice, which reads as down.
+    """
+    c = np.zeros(states.shape, dtype=np.int64)
+    for k, q in enumerate(chain):
+        if q < 0:
+            continue
+        nxt = chain[(k + 1) % len(chain)]
+        up = (states >> q) & 1
+        c += up if nxt < 0 else up & ~(states >> nxt)
+    return c
+
+
+def bond_diagonal(states: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """Bond part of the diagonal for every state of an int64 array.
+
+    Periodic BC: the integer sum of z_p z_q over all bond keys.  Closed BC:
+    closed_diagonal, h_plus * n_up - h_pp * (up-up bond count).
+    """
+    total = np.zeros(states.shape, dtype=np.int64)
+    for p, _, q in bonds(cfg):
+        if cfg.periodic:
+            total += 1 - 2 * (((states >> p) ^ (states >> q)) & 1)
+        elif q >= 0:
+            total += (states >> p) & (states >> q) & 1
+    if cfg.periodic:
+        return total
+    return h_plus(cfg.lam) * np.bitwise_count(states) - h_plusplus(cfg.lam) * total
+
+
+def flipped(states: np.ndarray, mask: int, cfg: LatticeConfig, quotient: bool) -> np.ndarray:
+    """Basis index of |s ^ mask> for every s; in the quotient that is the
+    smaller member of the global-flip pair."""
+    t = states ^ mask
+    if quotient:
+        t = np.minimum(t, t ^ ((1 << cfg.n_plaq) - 1))
+    return t
 
 
 def c_value(s: int, c: tuple[int, int], cfg: LatticeConfig) -> int:
-    """Count of chain positions K with neighbor K up and K+1 (mod 6) down."""
-    b = chain_bits(s, c, cfg)
+    """Count of chain positions K with neighbor K up and K+1 (mod 6) down.
+
+    Scalar reference for flip_exponent.
+    """
+    b = [0 if q < 0 else (s >> q) & 1 for q in chain_table(cfg)[cfg.site(*c)]]
     return sum(b[k] & (1 - b[(k + 1) % 6]) for k in range(6))
 
 
 def magnetic_coefficient(s: int, c: tuple[int, int], cfg: LatticeConfig) -> float:
     """(-1/2)^c, the plaquette-flip matrix element at c on state s."""
     return (-0.5) ** c_value(s, c, cfg)
-
-
-def _zz_sum(s: int, bond_list) -> int:
-    """Integer sum of z_p * z_q over all bond keys (z = +-1, outside = -1)."""
-    total = 0
-    for p, _, q in bond_list:
-        zp = 2 * ((s >> p) & 1) - 1
-        zq = -1 if q < 0 else 2 * ((s >> q) & 1) - 1
-        total += zp * zq
-    return total
 
 
 def _up_pair_count(s: int, bond_list) -> int:
@@ -122,7 +146,10 @@ def _up_pair_count(s: int, bond_list) -> int:
 
 
 def closed_diagonal(s: int, cfg: LatticeConfig, bond_list=None) -> float:
-    """h_plus * n_up - h_pp * (up-up bond count), the closed-BC diagonal."""
+    """h_plus * n_up - h_pp * (up-up bond count), the closed-BC diagonal.
+
+    Scalar reference for bond_diagonal.
+    """
     if bond_list is None:
         bond_list = bonds(cfg)
     return h_plus(cfg.lam) * s.bit_count() - h_plusplus(cfg.lam) * _up_pair_count(s, bond_list)
@@ -132,7 +159,7 @@ def build_closed(cfg: LatticeConfig) -> SparseOperator:
     """Closed-BC Hamiltonian on the full 2^N basis."""
     if cfg.bc is not BoundaryCondition.CLOSED:
         raise ValueError("build_closed requires closed BC")
-    return _assemble_full(cfg, closed=True, label="closed-full")
+    return _assemble(cfg, quotient=False)
 
 
 def build_periodic_full(cfg: LatticeConfig) -> SparseOperator:
@@ -143,51 +170,13 @@ def build_periodic_full(cfg: LatticeConfig) -> SparseOperator:
     half of this operator's spectrum.
     """
     _require_nondegenerate(cfg)
-    return _assemble_full(cfg, closed=False, label="periodic-full")
-
-
-def _flip_coefficients(cfg: LatticeConfig, s: int, chains, powers) -> list[float]:
-    """h_x * (-1/2)^c for every plaquette, on state s."""
-    out = []
-    for sites in chains:
-        b = [0 if q < 0 else (s >> q) & 1 for q in sites]
-        c = (
-            (b[0] & (1 - b[1])) + (b[1] & (1 - b[2])) + (b[2] & (1 - b[3]))
-            + (b[3] & (1 - b[4])) + (b[4] & (1 - b[5])) + (b[5] & (1 - b[0]))
-        )
-        out.append(powers[c])
-    return out
+    return _assemble(cfg, quotient=False)
 
 
 def build_periodic(cfg: LatticeConfig) -> SparseOperator:
     """Periodic Hamiltonian on the 2^(N-1) flip-quotient basis."""
     _require_nondegenerate(cfg)
-    lam = cfg.lam
-    basis = enumerate_basis(cfg)
-    bond_list = bonds(cfg)
-    jz = j_zz(lam)
-    chains = chain_table(cfg)
-    powers = [h_x(lam) * (-0.5) ** c for c in range(7)]
-    n = cfg.n_plaq
-    mask = (1 << n) - 1
-    top = 1 << (n - 1)
-    rows, cols, vals = [], [], []
-    for s in basis:
-        rows.append(s)
-        cols.append(s)
-        vals.append(jz * _zz_sum(s, bond_list))
-        coeffs = _flip_coefficients(cfg, s, chains, powers)
-        for p in range(n):
-            t = s ^ (1 << p)
-            if t & top:  # canonical representative has the top bit clear
-                t ^= mask
-            rows.append(t)
-            cols.append(s)
-            vals.append(coeffs[p])
-    dim = len(basis)
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    mat.sort_indices()
-    return SparseOperator(mat, basis, cfg, "periodic-quotient")
+    return _assemble(cfg, quotient=True)
 
 
 def build_hamiltonian(cfg: LatticeConfig) -> SparseOperator:
@@ -206,42 +195,30 @@ def _require_nondegenerate(cfg: LatticeConfig):
         raise ValueError("periodic lattices need nx >= 2 and ny >= 2")
 
 
-def _assemble_full(cfg: LatticeConfig, closed: bool, label: str) -> SparseOperator:
+def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
+    """H on the flip quotient or on all 2^N states.
+
+    Column s holds the diagonal and, for every plaquette p, h_x (-1/2)^c at
+    row s ^ (1 << p).  The quotient stores every diagonal entry, zeros
+    included; the full bases drop zero diagonals.
+    """
     lam = cfg.lam
-    n = cfg.n_plaq
-    bond_list = bonds(cfg)
-    jz = j_zz(lam)
-    chains = chain_table(cfg)
-    powers = [h_x(lam) * (-0.5) ** c for c in range(7)]
-    rows, cols, vals = [], [], []
-    for s in range(1 << n):
-        if closed:
-            d = closed_diagonal(s, cfg, bond_list)
-        else:
-            d = jz * _zz_sum(s, bond_list)
-        if d != 0.0:
-            rows.append(s)
-            cols.append(s)
-            vals.append(d)
-        coeffs = _flip_coefficients(cfg, s, chains, powers)
-        for p in range(n):
-            rows.append(s ^ (1 << p))
-            cols.append(s)
-            vals.append(coeffs[p])
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(1 << n, 1 << n)).tocsr()
+    states = state_array(cfg, quotient)
+    diag = bond_diagonal(states, cfg)
+    if cfg.periodic:
+        diag = j_zz(lam) * diag
+    keep = states if quotient else np.flatnonzero(diag)
+    # h_x (-1/2)^c by table lookup; an array power costs more than the kernel
+    powers = h_x(lam) * (-0.5) ** np.arange(7)
+    rows, cols, vals = [keep], [keep], [diag[keep]]
+    for p, chain in enumerate(chain_table(cfg)):
+        rows.append(flipped(states, 1 << p, cfg, quotient))
+        cols.append(states)
+        vals.append(powers[flip_exponent(states, chain)])
+    dim = len(states)
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    ).tocsr()
     mat.sort_indices()
-    return SparseOperator(mat, list(range(1 << n)), cfg, label)
-
-
-def translation_permutation(cfg: LatticeConfig, rx: int, ry: int, quotient: bool) -> np.ndarray:
-    """perm[s] = index of T_x^rx T_y^ry |s> in the chosen basis."""
-    from .spinbasis import translate
-
-    if quotient:
-        states = enumerate_basis(cfg)
-        return np.array(
-            [canonicalize(translate(s, rx, ry, cfg), cfg)[0] for s in states], dtype=np.int64
-        )
-    return np.array(
-        [translate(s, rx, ry, cfg) for s in range(1 << cfg.n_plaq)], dtype=np.int64
-    )
+    label = "periodic-quotient" if quotient else f"{cfg.bc.value}-full"
+    return SparseOperator(mat, cfg, label)

@@ -11,6 +11,7 @@ units of 1/a.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,8 +48,8 @@ class LatticeConfig:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.nx}x{self.ny}")
-        if self.lam <= 0:
-            raise ValueError(f"coupling lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"coupling lam must be finite and positive, got {self.lam}")
 
     @property
     def n_plaq(self) -> int:
@@ -121,6 +122,11 @@ def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> list:
     if resolve(cfg, i, j + 1) is OUTSIDE:
         raise ValueError(f"partner plaquette ({i},{j + 1}) outside closed lattice")
     return [resolve(cfg, i + di, j + dj) for di, dj in CHAIN8]
+
+
+def chain_sites(chain: list, cfg: LatticeConfig) -> tuple[int, ...]:
+    """Site indices of a neighbor chain, -1 for OUTSIDE slots."""
+    return tuple(-1 if q is OUTSIDE else cfg.site(*q) for q in chain)
 
 
 def bonds(cfg: LatticeConfig) -> list[tuple[int, int, int]]:

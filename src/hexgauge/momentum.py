@@ -15,13 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .hamiltonian import _zz_sum, c_value, h_x, j_zz
-from .lattice import LatticeConfig, bonds, neighbor_chain6, neighbor_chain8
+from .hamiltonian import bond_diagonal, chain_table, flip_exponent, h_x, j_zz
+from .lattice import LatticeConfig, neighbor_chain6, neighbor_chain8
 from .spinbasis import MomentumSector, canonicalize
-
-DENSE_LIMIT = 4096
 
 # Bracket factor constants of the Pauli-product magnetic form.
 ALPHA = 0.5 - 0.5j / math.sqrt(2.0)
@@ -33,7 +30,7 @@ class SectorBlock:
     """One operator block over a momentum sector's representatives."""
 
     sector: MomentumSector
-    matrix: np.ndarray | scipy.sparse.spmatrix
+    matrix: np.ndarray
     label: str
 
     @property
@@ -41,15 +38,7 @@ class SectorBlock:
         return self.sector.dim
 
     def to_dense(self) -> np.ndarray:
-        if scipy.sparse.issparse(self.matrix):
-            return self.matrix.toarray()
         return self.matrix
-
-
-def _alloc(dim: int):
-    if dim <= DENSE_LIMIT:
-        return np.zeros((dim, dim), dtype=complex), False
-    return scipy.sparse.lil_matrix((dim, dim), dtype=complex), True
 
 
 def _zvals(s: int, sites: list[int]) -> list[int]:
@@ -78,12 +67,8 @@ def _flip_shift(sector: MomentumSector, flipped: int):
 
 def hzz_block(sector: MomentumSector) -> SectorBlock:
     """Diagonal electric block: sum of the three forward bond products."""
-    cfg = sector.cfg
-    mat, _ = _alloc(sector.dim)
-    bond_list = bonds(cfg)
-    for a, rep in enumerate(sector.reps):
-        mat[a, a] = _zz_sum(rep, bond_list)
-    return SectorBlock(sector, mat, "hzz")
+    reps = np.array(sector.reps, dtype=np.int64)
+    return SectorBlock(sector, np.diag(bond_diagonal(reps, sector.cfg).astype(complex)), "hzz")
 
 
 def hx_block(sector: MomentumSector) -> SectorBlock:
@@ -91,17 +76,17 @@ def hx_block(sector: MomentumSector) -> SectorBlock:
     by exp(-i k.l) * (-1/2)^c * sqrt(N_b/N_a)."""
     cfg = sector.cfg
     den = cfg.nx * cfg.ny
-    mat, _ = _alloc(sector.dim)
-    for col, a in enumerate(sector.reps):
-        na = sector.norms[col]
-        for p in range(cfg.n_plaq):
-            coeff = (-0.5) ** c_value(a, cfg.coord(p), cfg)
+    reps = np.array(sector.reps, dtype=np.int64)
+    mat = np.zeros((sector.dim, sector.dim), dtype=complex)
+    for p, chain in enumerate(chain_table(cfg)):
+        coeffs = ((-0.5) ** flip_exponent(reps, chain)).tolist()
+        for col, (a, coeff) in enumerate(zip(sector.reps, coeffs)):
             hit = _flip_shift(sector, a ^ (1 << p))
             if hit is None:
                 continue
             row, nb, lx, ly = hit
             num = -(sector.nx_q * lx * cfg.ny + sector.ny_q * ly * cfg.nx)
-            mat[row, col] += _phase(num, den) * coeff * math.sqrt(nb / na)
+            mat[row, col] += _phase(num, den) * coeff * math.sqrt(nb / sector.norms[col])
     return SectorBlock(sector, mat, "hx")
 
 

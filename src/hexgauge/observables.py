@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hamiltonian import SparseOperator, c_value
-from .lattice import LatticeConfig, neighbor_chain8
-from .spinbasis import canonicalize, enumerate_basis
+from .hamiltonian import SparseOperator, flip_exponent, flipped
+from .lattice import LatticeConfig, chain_sites, neighbor_chain6, neighbor_chain8
+from .spinbasis import canonicalize, enumerate_basis, state_array
 
 RESIDUAL_TOL = 1e-8
 DENSE_MAX_DIM = 1 << 16
@@ -88,7 +88,9 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
     """Eigenvalues (ascending) of a real symmetric operator.
 
     mode "full": dense diagonalization, allowed up to dim 2^16.
-    mode "lowest": k extremal (smallest-algebraic) eigenpairs, iterative.
+    mode "lowest": k extremal (smallest-algebraic) eigenpairs, iterative,
+    with 1 <= k < dim and a fixed pseudo-random start vector, so repeated
+    solves return the same eigenvalues.
     """
     label = getattr(op, "label", "operator")
     if mode == "full":
@@ -99,8 +101,13 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
         else:
             vals, vecs = np.linalg.eigvalsh(op.to_dense()), None
     elif mode == "lowest":
+        if not 1 <= k < op.dim:
+            raise ValueError(f"k must satisfy 1 <= k < dim = {op.dim}, got {k}")
+        # ARPACK's own start distribution, seeded; a structured vector such
+        # as all ones lies in one symmetry sector and hides the others.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix.astype(float), k=k, which="SA")
+            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix.astype(float), k=k, which="SA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise RuntimeError(f"eigensolver did not converge: {err}") from err
         order = np.argsort(vals)
@@ -122,81 +129,49 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
 # Wilson loops in real space
 # ---------------------------------------------------------------------------
 
-def _o1_action(s: int, c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, float]:
-    """(target basis state, amplitude) of O_1 at c applied to |s>."""
-    amp = -((-0.5) ** c_value(s, c, cfg))
-    t = s ^ (1 << cfg.site(*c))
-    if cfg.periodic:
-        t, _ = canonicalize(t, cfg)
-    return t, amp
-
-
-def _o2_action(s: int, c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, float]:
-    """(target, amplitude) of O_2 on the pair c, c+(0,1) applied to |s>."""
-    i, j = c
-    chain = neighbor_chain8(c, cfg)
-    zs = []
-    for q in chain:
-        zs.append(-1 if q is None else 2 * ((s >> cfg.site(*q)) & 1) - 1)
-    c8 = sum(1 for k in range(8) if zs[k] == 1 and zs[(k + 1) % 8] == -1)
-    here = cfg.site(i, j)
-    if cfg.periodic:
-        above = cfg.site(i, (j + 1) % cfg.ny)
-    else:
-        above = cfg.site(i, j + 1)
-    z0 = 2 * ((s >> here) & 1) - 1
-    z1 = 2 * ((s >> above) & 1) - 1
-    amp = -((-0.5) ** c8) * (1.0 + 3.0 * z0 * z1) / 4.0
-    t = s ^ (1 << here) ^ (1 << above)
-    if cfg.periodic:
-        t, _ = canonicalize(t, cfg)
-    return t, amp
-
-
-def _apply_linear(action, psi, c, cfg: LatticeConfig) -> StateVector:
-    if isinstance(psi, StateVector):
-        out = np.zeros_like(psi.amplitudes)
-        for s in np.nonzero(psi.amplitudes)[0]:
-            t, amp = action(int(s), c, cfg)
-            out[t] += amp * psi.amplitudes[s]
-        return StateVector(out, psi.label)
-    t, amp = action(int(psi), c, cfg)
-    dim = len(enumerate_basis(cfg))
-    out = np.zeros(dim, dtype=complex)
-    out[t] = amp
-    return StateVector(out, basis_label(cfg))
+def _apply(matrix, psi, cfg: LatticeConfig) -> StateVector:
+    if not isinstance(psi, StateVector):
+        psi = basis_state(cfg, int(psi))
+    return StateVector(matrix @ psi.amplitudes, psi.label)
 
 
 def wilson1_apply(psi, c: tuple[int, int], cfg: LatticeConfig) -> StateVector:
     """O_1 at c applied to a basis state (int) or StateVector."""
-    return _apply_linear(_o1_action, psi, c, cfg)
+    return _apply(wilson1_operator(cfg, c), psi, cfg)
 
 
 def wilson2_apply(psi, c: tuple[int, int], cfg: LatticeConfig) -> StateVector:
     """O_2 on the pair c, c+(0,1) applied to a basis state or StateVector."""
-    return _apply_linear(_o2_action, psi, c, cfg)
+    return _apply(wilson2_operator(cfg, c), psi, cfg)
 
 
-def _operator_matrix(action, cfg: LatticeConfig, c) -> scipy.sparse.csr_matrix:
-    basis = enumerate_basis(cfg)
-    rows, cols, vals = [], [], []
-    for s in basis:
-        t, amp = action(s, c, cfg)
-        rows.append(t)
-        cols.append(s)
-        vals.append(amp)
-    dim = len(basis)
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+def _flip_operator(cfg: LatticeConfig, states, mask: int, amp) -> scipy.sparse.csr_matrix:
+    """amp[s] at row |s ^ mask>, column s, over the working basis."""
+    rows = flipped(states, mask, cfg, cfg.periodic)
+    dim = len(states)
+    return scipy.sparse.coo_matrix((amp, (rows, states)), shape=(dim, dim)).tocsr()
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:
-    """O_1 at c as a sparse matrix over the working basis."""
-    return _operator_matrix(_o1_action, cfg, c)
+    """O_1 at c as a sparse matrix over the working basis: -(-1/2)^c times
+    the flip of plaquette c."""
+    states = state_array(cfg, cfg.periodic)
+    chain = chain_sites(neighbor_chain6(c, cfg), cfg)
+    amp = -((-0.5) ** flip_exponent(states, chain))
+    return _flip_operator(cfg, states, 1 << cfg.site(*c), amp)
 
 
 def wilson2_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:
-    """O_2 on the pair c, c+(0,1) as a sparse matrix over the working basis."""
-    return _operator_matrix(_o2_action, cfg, c)
+    """O_2 on the pair c, c+(0,1) as a sparse matrix over the working basis:
+    -(-1/2)^c8 (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with
+    c8 counted around the eight-plaquette chain."""
+    i, j = c
+    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
+    here, above = cfg.site(i, j), cfg.site(i, (j + 1) % cfg.ny)
+    states = state_array(cfg, cfg.periodic)
+    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
+    amp = -((-0.5) ** flip_exponent(states, chain)) * (1.0 + 3.0 * z0z1) / 4.0
+    return _flip_operator(cfg, states, (1 << here) ^ (1 << above), amp)
 
 
 def expectation(matrix, psi: StateVector) -> complex:
@@ -207,16 +182,10 @@ def expectation(matrix, psi: StateVector) -> complex:
 # Time evolution
 # ---------------------------------------------------------------------------
 
-def evolve(op: SparseOperator, psi0: StateVector, t: float, steps: int = 1,
+def evolve(op: SparseOperator, psi0: StateVector, t: float,
            spectrum: Spectrum | None = None) -> StateVector:
-    """exp(-i H t)|psi0> via the spectral decomposition, applied in `steps`
-    equal hops (each hop is exact; steps only controls intermediate
-    rounding, it does not change the result beyond that)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    psi = psi0
-    for _, state in trajectory(op, psi0, np.linspace(0.0, t, steps + 1), spectrum):
-        psi = state
+    """exp(-i H t)|psi0> via the spectral decomposition."""
+    _, psi = next(trajectory(op, psi0, [t], spectrum))
     return psi
 
 

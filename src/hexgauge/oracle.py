@@ -267,7 +267,8 @@ def _gf2_nullspace(rows: list[int], n_vars: int) -> list[int]:
     # Verify against every original check row; catches elimination bugs.
     for vec in basis:
         for row in rows:
-            assert (vec & row).bit_count() % 2 == 0
+            if (vec & row).bit_count() % 2:
+                raise RuntimeError(f"null-space vector {vec:#x} violates check row {row:#x}")
     return basis
 
 
@@ -337,7 +338,7 @@ def magnetic_coupling(lam: float) -> float:
 
 def plaquette_element(geo: GaugeGeometry, table, config: int, p: int) -> float:
     """<config XOR hexmask | plaquette_p | config> as a product of the six
-    vertex factors; asserts the product is real and that B->C and C->B
+    vertex factors; raises unless the product is real and the B->C and C->B
     vertices pair up."""
     es = geo.hex_edges[p]
     xs = geo.hex_x[p]
@@ -356,8 +357,10 @@ def plaquette_element(geo: GaugeGeometry, table, config: int, p: int) -> float:
             else:
                 n_cb += 1
         prod *= f
-    assert n_bc == n_cb, "unbalanced B->C / C->B vertex counts"
-    assert abs(prod.imag) < 1e-12, f"plaquette element not real: {prod}"
+    if n_bc != n_cb:
+        raise RuntimeError(f"unbalanced B->C / C->B vertex counts on plaquette {p}")
+    if abs(prod.imag) >= 1e-12:
+        raise RuntimeError(f"plaquette element not real: {prod}")
     return prod.real
 
 
@@ -390,7 +393,7 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
             vals.append(-hmag * plaquette_element(geo, table, g, p))
     mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     mat.sort_indices()
-    return SparseOperator(mat, list(enum.reachable), cfg, "gauge-reachable")
+    return SparseOperator(mat, cfg, "gauge-reachable")
 
 
 @dataclass
@@ -442,28 +445,27 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
         m = spin.matrix.tolil()
         m[0, 1] += perturbation
         spin.matrix = m.tocsr()
-    states = spin.basis
-    if len(states) != enum.n_reachable:
-        raise ValueError(
-            f"state count mismatch: spin {len(states)} vs gauge {enum.n_reachable}"
-        )
+    dim = spin.dim
+    if dim != enum.n_reachable:
+        raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")
     # Spin state -> gauge config via plaquette toggles.
     to_gauge = []
-    for s in states:
+    for s in range(dim):
         g = 0
         for p in range(cfg.n_plaq):
             if (s >> p) & 1:
                 g ^= enum.geo.hexmasks[p]
         to_gauge.append(enum.reachable_index[g])
-    if len(set(to_gauge)) != len(states):
+    if len(set(to_gauge)) != dim:
         raise ValueError("plaquette-toggle map is not a bijection")
     if cfg.periodic:
-        for s in states:
+        for s in range(dim):
             gf = 0
             for p in range(cfg.n_plaq):
                 if not (s >> p) & 1:
                     gf ^= enum.geo.hexmasks[p]
-            assert enum.reachable_index[gf] == to_gauge[s], "flip pair maps to two configs"
+            if enum.reachable_index[gf] != to_gauge[s]:
+                raise RuntimeError(f"flip pair of state {s:#x} maps to two configs")
 
     a = spin.to_dense()
     perm = np.asarray(to_gauge)
@@ -473,7 +475,6 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
 
     # Per-state sign gauge, propagated over nonzero off-diagonals from the
     # vacuum; with the +1 amplitude convention every sign comes out +1.
-    dim = len(states)
     signs = np.zeros(dim)
     signs[0] = 1.0
     queue = [0]
@@ -493,7 +494,7 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
         cfg=cfg,
         n_gauss=enum.n_gauss,
         n_reachable=enum.n_reachable,
-        spin_dim=len(states),
+        spin_dim=dim,
         shift=shift,
         max_deviation=max_dev,
         passed=bool(max_dev < TOL_CERT),

@@ -13,6 +13,8 @@ import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .lattice import BoundaryCondition, LatticeConfig
 
 # Hard cap so a careless config cannot try to materialize gigabytes of states.
@@ -58,6 +60,12 @@ def enumerate_basis(cfg: LatticeConfig) -> list[int]:
     # s < complement(s) picks exactly one member of each flip pair; the
     # canonical states are precisely those with the top bit clear.
     return list(range(1 << (n - 1)))
+
+
+def state_array(cfg: LatticeConfig, quotient: bool) -> np.ndarray:
+    """The flip-quotient basis (quotient=True) or all 2^N states, as int64."""
+    _check_capacity(cfg)
+    return np.arange(1 << (cfg.n_plaq - quotient), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

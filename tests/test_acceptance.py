@@ -218,7 +218,7 @@ def test_criterion_9_evolution_sanity():
     op = build_periodic(cfg)
     psi0 = basis_state(cfg, 0)
     e0 = expectation(op.matrix, psi0).real
-    out = evolve(op, psi0, 50.0, steps=100)
+    out = evolve(op, psi0, 50.0)
     norm_drift = abs(out.norm() - 1.0)
     energy_drift = abs(expectation(op.matrix, out).real - e0) / max(1.0, abs(e0))
     ok = norm_drift < 1e-10 and energy_drift < 1e-8

@@ -2,22 +2,33 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexgauge.hamiltonian import (
+    bond_diagonal,
     build_closed,
     build_periodic,
     build_periodic_full,
     c_value,
     closed_diagonal,
+    flip_exponent,
     h_plus,
     h_plusplus,
     h_x,
     j_zz,
     magnetic_coefficient,
-    translation_permutation,
 )
-from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
-from hexgauge.spinbasis import complement, enumerate_basis
+from hexgauge.lattice import (
+    BoundaryCondition,
+    LatticeConfig,
+    bonds,
+    chain_sites,
+    neighbor_chain6,
+    neighbor_chain8,
+)
+from hexgauge.spinbasis import canonicalize, complement, enumerate_basis, translate
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -164,6 +175,18 @@ def test_flip_invariance_of_c_vectorized_4x4():
         assert np.array_equal(cvals(states), cvals(comp))
 
 
+def translation_permutation(cfg: LatticeConfig, rx: int, ry: int, quotient: bool) -> np.ndarray:
+    """perm[s] = index of T_x^rx T_y^ry |s> in the chosen basis."""
+    if quotient:
+        states = enumerate_basis(cfg)
+        return np.array(
+            [canonicalize(translate(s, rx, ry, cfg), cfg)[0] for s in states], dtype=np.int64
+        )
+    return np.array(
+        [translate(s, rx, ry, cfg) for s in range(1 << cfg.n_plaq)], dtype=np.int64
+    )
+
+
 def test_translation_commutes_exactly():
     cfg = LatticeConfig(2, 3, P, 1.0)
     h = build_periodic(cfg).matrix.tocsr()
@@ -226,3 +249,99 @@ def test_mtx_export(tmp_path):
     build_periodic(cfg).export_mtx(str(path))
     text = path.read_text()
     assert "MatrixMarket" in text and "symmetric" in text
+
+
+# ---------------------------------------------------------------------------
+# Array kernels and the assembler against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _scalar_c(s: int, sites) -> int:
+    """Up->down steps around a cyclic chain of sites, -1 reading down."""
+    b = [0 if q < 0 else (s >> q) & 1 for q in sites]
+    return sum(b[k] & (1 - b[(k + 1) % len(b)]) for k in range(len(b)))
+
+
+def _scalar_zz(s: int, bond_list) -> int:
+    total = 0
+    for p, _, q in bond_list:
+        zq = -1 if q < 0 else 2 * ((s >> q) & 1) - 1
+        total += (2 * ((s >> p) & 1) - 1) * zq
+    return total
+
+
+@st.composite
+def _lattice_chain_state(draw):
+    bc = draw(st.sampled_from([P, C]))
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    eight = draw(st.booleans()) and (cfg.periodic or ny >= 2)
+    i = draw(st.integers(0, nx - 1))
+    j = draw(st.integers(0, ny - 1 if cfg.periodic or not eight else ny - 2))
+    states = draw(st.lists(st.integers(0, (1 << cfg.n_plaq) - 1), min_size=1, max_size=20))
+    return cfg, (i, j), eight, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_chain_state())
+def test_kernels_match_scalar_reference(case):
+    cfg, c, eight, states = case
+    arr = np.array(states, dtype=np.int64)
+    chain = chain_sites((neighbor_chain8 if eight else neighbor_chain6)(c, cfg), cfg)
+    got = flip_exponent(arr, chain)
+    assert got.tolist() == [_scalar_c(s, chain) for s in states]
+    if not eight:
+        assert got.tolist() == [c_value(s, c, cfg) for s in states]
+    diag = bond_diagonal(arr, cfg)
+    if cfg.periodic:
+        assert diag.tolist() == [_scalar_zz(s, bonds(cfg)) for s in states]
+    else:
+        assert diag.tolist() == [closed_diagonal(s, cfg) for s in states]
+
+
+def _scalar_assemble(cfg: LatticeConfig, quotient: bool) -> scipy.sparse.csr_matrix:
+    """The per-state loop form of the assembler, from the scalar reference."""
+    lam, n = cfg.lam, cfg.n_plaq
+    bond_list = bonds(cfg)
+    dim = 1 << (n - 1) if quotient else 1 << n
+    rows, cols, vals = [], [], []
+    for s in range(dim):
+        if cfg.periodic:
+            d = j_zz(lam) * _scalar_zz(s, bond_list)
+        else:
+            d = closed_diagonal(s, cfg, bond_list)
+        if quotient or d != 0.0:
+            rows.append(s)
+            cols.append(s)
+            vals.append(d)
+        for p in range(n):
+            t = s ^ (1 << p)
+            if quotient:
+                t, _ = canonicalize(t, cfg)
+            rows.append(t)
+            cols.append(s)
+            vals.append(h_x(lam) * magnetic_coefficient(s, cfg.coord(p), cfg))
+    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+@pytest.mark.parametrize("builder,quotient,nx,ny,bc", [
+    (build_closed, False, 1, 1, C),
+    (build_closed, False, 1, 4, C),
+    (build_closed, False, 2, 2, C),
+    (build_closed, False, 2, 5, C),
+    (build_closed, False, 3, 4, C),
+    (build_periodic, True, 2, 2, P),
+    (build_periodic, True, 2, 5, P),
+    (build_periodic, True, 3, 4, P),
+    (build_periodic_full, False, 2, 3, P),
+    (build_periodic_full, False, 3, 3, P),
+    (build_periodic_full, False, 3, 4, P),
+])
+def test_assembler_matches_scalar_loop(builder, quotient, nx, ny, bc):
+    cfg = LatticeConfig(nx, ny, bc, 0.8)
+    got = builder(cfg).matrix
+    ref = _scalar_assemble(cfg, quotient)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)

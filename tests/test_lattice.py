@@ -93,6 +93,12 @@ def test_config_validation():
         LatticeConfig(2, 2, P, -1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_nonfinite_lam(lam):
+    with pytest.raises(ValueError, match="finite and positive"):
+        LatticeConfig(2, 2, P, lam)
+
+
 def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"nx": 2, "ny": 3, "bc": "closed", "lambda": 0.5}))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from hexgauge.hamiltonian import build_closed, build_periodic, h_plus, h_x
-from hexgauge.lattice import BoundaryCondition, LatticeConfig
+from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
 from hexgauge.observables import (
     StateVector,
     basis_state,
@@ -18,8 +19,9 @@ from hexgauge.observables import (
     wilson1_apply,
     wilson1_operator,
     wilson2_apply,
+    wilson2_operator,
 )
-from hexgauge.spinbasis import enumerate_basis
+from hexgauge.spinbasis import canonicalize, enumerate_basis
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -151,7 +153,7 @@ def test_evolve_matches_expm_oracle():
     psi0 = basis_state(cfg, 0)
     t = 2.3
     ref = scipy.linalg.expm(-1j * op.to_dense() * t) @ psi0.amplitudes
-    out = evolve(op, psi0, t, steps=7)
+    out = evolve(op, psi0, t)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
@@ -174,7 +176,7 @@ def test_evolve_norm_and_energy_drift():
     op = build_periodic(cfg)
     psi0 = basis_state(cfg, 0)
     e0 = expectation(op.matrix, psi0).real
-    out = evolve(op, psi0, 25.0, steps=50)
+    out = evolve(op, psi0, 25.0)
     assert abs(out.norm() - 1.0) < 1e-10
     assert abs(expectation(op.matrix, out).real - e0) < 1e-8 * max(1.0, abs(e0))
 
@@ -200,8 +202,50 @@ def test_level_spacing_sector_resolved():
     assert r00.shape == (3,)
 
 
-def test_evolve_rejects_bad_steps():
-    cfg = LatticeConfig(2, 2, P, 1.0)
-    op = build_periodic(cfg)
-    with pytest.raises(ValueError):
-        evolve(op, basis_state(cfg, 0), 1.0, steps=0)
+@pytest.mark.parametrize("k", [0, -1, 8, 9])
+def test_lowest_mode_rejects_bad_k(k):
+    op = build_periodic(LatticeConfig(2, 2, P, 1.0))  # dim 8
+    with pytest.raises(ValueError, match="k must satisfy"):
+        diagonalize(op, mode="lowest", k=k)
+
+
+def test_lowest_mode_reproducible():
+    op = build_periodic(LatticeConfig(3, 3, P, 1.0))
+    first = diagonalize(op, mode="lowest", k=4, vectors=False).eigenvalues
+    second = diagonalize(op, mode="lowest", k=4, vectors=False).eigenvalues
+    assert np.array_equal(first, second)
+
+
+def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matrix:
+    """Per-state loop form of the real-space Wilson operators."""
+    i, j = c
+    chain = neighbor_chain8(c, cfg) if eight else neighbor_chain6(c, cfg)
+    here, above = cfg.site(i, j), cfg.site(i, (j + 1) % cfg.ny)
+    states = enumerate_basis(cfg)
+    rows, vals = [], []
+    for s in states:
+        z = [-1 if q is None else 2 * ((s >> cfg.site(*q)) & 1) - 1 for q in chain]
+        n = sum(1 for k in range(len(z)) if z[k] == 1 and z[(k + 1) % len(z)] == -1)
+        amp, t = -((-0.5) ** n), s ^ (1 << here)
+        if eight:
+            z0, z1 = 2 * ((s >> here) & 1) - 1, 2 * ((s >> above) & 1) - 1
+            amp, t = amp * (1.0 + 3.0 * z0 * z1) / 4.0, t ^ (1 << above)
+        if cfg.periodic:
+            t, _ = canonicalize(t, cfg)
+        rows.append(t)
+        vals.append(amp)
+    dim = len(states)
+    return scipy.sparse.coo_matrix((vals, (rows, states)), shape=(dim, dim)).tocsr()
+
+
+@pytest.mark.parametrize("nx,ny,bc,c", [
+    (2, 2, P, (0, 0)), (3, 3, P, (2, 1)), (3, 4, P, (1, 3)),
+    (1, 4, C, (0, 2)), (3, 3, C, (1, 1)), (2, 5, C, (1, 0)),
+])
+def test_wilson_operators_match_scalar_loop(nx, ny, bc, c):
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    for op, eight in ((wilson1_operator, False), (wilson2_operator, True)):
+        got, ref = op(cfg, c), _scalar_wilson(cfg, c, eight)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
