@@ -29,7 +29,7 @@ import scipy.io
 import scipy.sparse
 
 from .lattice import BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6
-from .spinbasis import state_array
+from .spinbasis import fold, state_array
 
 SQRT3 = math.sqrt(3.0)
 
@@ -118,9 +118,7 @@ def flipped(states: np.ndarray, mask: int, cfg: LatticeConfig, quotient: bool) -
     """Basis index of |s ^ mask> for every s; in the quotient that is the
     smaller member of the global-flip pair."""
     t = states ^ mask
-    if quotient:
-        t = np.minimum(t, t ^ ((1 << cfg.n_plaq) - 1))
-    return t
+    return fold(t, cfg) if quotient else t
 
 
 def c_value(s: int, c: tuple[int, int], cfg: LatticeConfig) -> int:

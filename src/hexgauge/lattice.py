@@ -77,6 +77,9 @@ class LatticeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeConfig":
+        unknown = sorted(set(d) - {"nx", "ny", "bc", "lambda"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(
             nx=int(d["nx"]),
             ny=int(d["ny"]),

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import bond_diagonal, chain_table, flip_exponent, h_x, j_zz
-from .lattice import LatticeConfig, neighbor_chain6, neighbor_chain8
-from .spinbasis import MomentumSector, canonicalize
+from .lattice import LatticeConfig
+from .observables import wilson_action
+from .spinbasis import MomentumSector, fold, momentum_numerator, momentum_phase, translate
 
 # Bracket factor constants of the Pauli-product magnetic form.
 ALPHA = 0.5 - 0.5j / math.sqrt(2.0)
@@ -41,65 +42,61 @@ class SectorBlock:
         return self.matrix
 
 
-def _zvals(s: int, sites: list[int]) -> list[int]:
-    return [2 * ((s >> q) & 1) - 1 for q in sites]
+def _roots(den: int) -> np.ndarray:
+    """exp(2j*pi*m/den) for m = 0 .. den-1, each from its reduced rational
+    angle."""
+    return np.array([cmath.exp(2j * cmath.pi * m / den) for m in range(den)])
 
 
-def _phase(num: int, den: int) -> complex:
-    """exp(2j*pi*num/den) from the reduced rational angle."""
-    return cmath.exp(2j * cmath.pi * (num % den) / den)
+def _targets(sector: MomentumSector, flipped: np.ndarray):
+    """Where each flipped state lands in the sector.
 
-
-def _flip_shift(sector: MomentumSector, flipped: int):
-    """Representative b and offset (lx, ly) with T^l |flipped> ~ |b>.
-
-    Returns (row index in sector, N_b, lx, ly) or None when the momentum
-    state of b vanishes in this sector.
+    Returns (row, hit, N_b, (lx, ly)): T^l |flipped> is the representative
+    b = reps[row] up to a global flip, and hit is False where b's momentum
+    state vanishes in this sector (row and N_b are then meaningless).
     """
     cfg = sector.cfg
-    sc, _ = canonicalize(flipped, cfg)
-    b, rx, ry = sector.orbits.to_rep[sc]
-    row = sector.index.get(b)
-    if row is None:
-        return None
-    return row, sector.norms[row], (-rx) % cfg.nx, (-ry) % cfg.ny
+    s = fold(flipped, cfg)
+    b, g = sector.orbits.rep[s], sector.orbits.shift[s]
+    # every sector keeps the single-up orbit (trivial stabilizer): dim >= 1
+    row = np.minimum(np.searchsorted(sector.reps, b), sector.dim - 1)
+    hit = sector.reps[row] == b
+    return row, hit, sector.norms[row], ((-g) % cfg.nx, (-(g // cfg.nx)) % cfg.ny)
 
 
 def hzz_block(sector: MomentumSector) -> SectorBlock:
     """Diagonal electric block: sum of the three forward bond products."""
-    reps = np.array(sector.reps, dtype=np.int64)
-    return SectorBlock(sector, np.diag(bond_diagonal(reps, sector.cfg).astype(complex)), "hzz")
+    return SectorBlock(sector, np.diag(bond_diagonal(sector.reps, sector.cfg).astype(complex)), "hzz")
 
 
 def hx_block(sector: MomentumSector) -> SectorBlock:
     """Magnetic block: flip, relocate to the target representative, weight
     by exp(-i k.l) * (-1/2)^c * sqrt(N_b/N_a)."""
     cfg = sector.cfg
-    den = cfg.nx * cfg.ny
-    reps = np.array(sector.reps, dtype=np.int64)
+    roots = _roots(cfg.n_plaq)
+    reps, cols = sector.reps, np.arange(sector.dim)
     mat = np.zeros((sector.dim, sector.dim), dtype=complex)
     for p, chain in enumerate(chain_table(cfg)):
-        coeffs = ((-0.5) ** flip_exponent(reps, chain)).tolist()
-        for col, (a, coeff) in enumerate(zip(sector.reps, coeffs)):
-            hit = _flip_shift(sector, a ^ (1 << p))
-            if hit is None:
-                continue
-            row, nb, lx, ly = hit
-            num = -(sector.nx_q * lx * cfg.ny + sector.ny_q * ly * cfg.nx)
-            mat[row, col] += _phase(num, den) * coeff * math.sqrt(nb / sector.norms[col])
+        row, hit, nb, (lx, ly) = _targets(sector, reps ^ (1 << p))
+        phase = roots[-momentum_numerator(cfg, sector.nx_q, sector.ny_q, lx, ly) % cfg.n_plaq]
+        vals = phase * (-0.5) ** flip_exponent(reps, chain) * np.sqrt(nb / sector.norms)
+        np.add.at(mat, (row[hit], cols[hit]), vals[hit])
     return SectorBlock(sector, mat, "hx")
 
 
 def hamiltonian_block(sector: MomentumSector) -> SectorBlock:
-    """J * H_zz + h_x * H_x restricted to the sector."""
+    """J * H_zz + h_x * H_x restricted to the sector; real (float) when every
+    phase is real, as at k = 0."""
     lam = sector.cfg.lam
     m = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
+    if not m.imag.any():
+        m = m.real
     return SectorBlock(sector, m, "hamiltonian")
 
 
 def _bracket(s: int, sites: list[int]) -> complex:
     """Product of (alpha * z_K z_{K+1} + beta) around a cyclic chain."""
-    z = _zvals(s, sites)
+    z = [2 * ((s >> q) & 1) - 1 for q in sites]
     n = len(z)
     prod = 1 + 0j
     for k in range(n):
@@ -107,17 +104,12 @@ def _bracket(s: int, sites: list[int]) -> complex:
     return prod
 
 
-def _chain_sites(cfg: LatticeConfig, coord, eight: bool) -> list[int]:
-    chain = neighbor_chain8(coord, cfg) if eight else neighbor_chain6(coord, cfg)
-    return [cfg.site(*q) for q in chain]
-
-
 def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> np.ndarray:
     """<b(k')| O_1 |a(k)> for the single-plaquette loop at the origin.
 
     Implements the double translation sum with the phase
-    phi = (k'-k).r - k'.l and the six-factor bracket product evaluated on
-    the untranslated representative around the plaquette (-r_x, -r_y).
+    phi = (k'-k).r - k'.l and the flip coefficient evaluated on the
+    untranslated representative at the plaquette (-r_x, -r_y).
     """
     return _wilson_block(sector, sector_p, eight=False)
 
@@ -131,54 +123,40 @@ def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool)
     cfg = sector.cfg
     if sector_p.cfg != cfg:
         raise ValueError("sectors belong to different lattices")
-    den = cfg.nx * cfg.ny
+    roots = _roots(cfg.n_plaq)
+    reps, cols = sector.reps, np.arange(sector.dim)
     mat = np.zeros((sector_p.dim, sector.dim), dtype=complex)
-    pref = -1.0 / den
-    for col, a in enumerate(sector.reps):
-        na = sector.norms[col]
-        for ry in range(cfg.ny):
-            for rx in range(cfg.nx):
-                px, py = (-rx) % cfg.nx, (-ry) % cfg.ny
-                sites = _chain_sites(cfg, (px, py), eight)
-                here = cfg.site(px, py)
-                if eight:
-                    above = cfg.site(px, (py + 1) % cfg.ny)
-                    z0, z1 = _zvals(a, [here, above])
-                    spin_pref = (1.0 + 3.0 * z0 * z1) / 4.0
-                    flipped = a ^ (1 << here) ^ (1 << above)
-                else:
-                    spin_pref = 1.0
-                    flipped = a ^ (1 << here)
-                hit = _flip_shift(sector_p, flipped)
-                if hit is None:
-                    continue
-                row, nb, lx, ly = hit
-                # phi/(2 pi) with common denominator nx*ny
-                num = (
-                    rx * (sector_p.nx_q - sector.nx_q) * cfg.ny
-                    + ry * (sector_p.ny_q - sector.ny_q) * cfg.nx
-                    - sector_p.nx_q * lx * cfg.ny
-                    - sector_p.ny_q * ly * cfg.nx
-                )
-                mat[row, col] += (
-                    pref * math.sqrt(nb / na) * _phase(num, den) * spin_pref * _bracket(a, sites)
-                )
+    for ry in range(cfg.ny):
+        for rx in range(cfg.nx):
+            mask, amp = wilson_action(cfg, reps, ((-rx) % cfg.nx, (-ry) % cfg.ny), eight)
+            row, hit, nb, (lx, ly) = _targets(sector_p, reps ^ mask)
+            # phi/(2 pi) with common denominator nx*ny
+            num = (
+                momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, rx, ry)
+                - momentum_numerator(cfg, sector.nx_q, sector.ny_q, rx, ry)
+                - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
+            )
+            vals = np.sqrt(nb / sector.norms) / cfg.n_plaq * roots[num % cfg.n_plaq] * amp
+            np.add.at(mat, (row[hit], cols[hit]), vals[hit])
     return mat
 
 
 def momentum_transform(sector: MomentumSector) -> np.ndarray:
     """Columns are the normalized momentum states in the quotient basis.
 
-    U[s, a] is the amplitude of canonical state s in |a(k)>; conjugating a
-    real-space quotient operator with these matrices reproduces the sector
-    blocks, which is the independent cross-check used by the tests.
+    U[s, a] is the amplitude of canonical state s in |a(k)>, the sum of
+    momentum_phase over the translates of reps[a]; conjugating a real-space
+    quotient operator with these matrices reproduces the sector blocks,
+    which is the independent cross-check used by the tests.
     """
     cfg = sector.cfg
+    cols = np.arange(sector.dim)
     u = np.zeros((1 << (cfg.n_plaq - 1), sector.dim), dtype=complex)
-    for a, rep in enumerate(sector.reps):
-        for s, amp in sector.amplitudes(rep).items():
-            u[s, a] = amp / math.sqrt(sector.norms[a])
-    return u
+    for ry in range(cfg.ny):
+        for rx in range(cfg.nx):
+            t = fold(translate(sector.reps, rx, ry, cfg), cfg)
+            np.add.at(u, (t, cols), momentum_phase(cfg, sector.nx_q, sector.ny_q, rx, ry))
+    return u / np.sqrt(sector.norms)
 
 
 def sector_spectra(cfg: LatticeConfig) -> list[tuple[int, int, np.ndarray]]:

@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 
 from .hamiltonian import SparseOperator, flip_exponent, flipped
 from .lattice import LatticeConfig, chain_sites, neighbor_chain6, neighbor_chain8
-from .spinbasis import canonicalize, enumerate_basis, state_array
+from .spinbasis import canonicalize, state_array
 
 RESIDUAL_TOL = 1e-8
 DENSE_MAX_DIM = 1 << 16
@@ -58,9 +58,11 @@ class StateVector:
 
 def basis_state(cfg: LatticeConfig, s: int) -> StateVector:
     """The unit vector for spin word s (canonicalized under periodic BC)."""
+    if not 0 <= s < 1 << cfg.n_plaq:
+        raise ValueError(f"spin word {s:#x} outside [0, 2^{cfg.n_plaq}) for {cfg.nx}x{cfg.ny}")
     if cfg.periodic:
         s, _ = canonicalize(s, cfg)
-    dim = len(enumerate_basis(cfg))
+    dim = 1 << (cfg.n_plaq - cfg.periodic)
     amps = np.zeros(dim, dtype=complex)
     amps[s] = 1.0
     return StateVector(amps, basis_label(cfg))
@@ -145,33 +147,43 @@ def wilson2_apply(psi, c: tuple[int, int], cfg: LatticeConfig) -> StateVector:
     return _apply(wilson2_operator(cfg, c), psi, cfg)
 
 
-def _flip_operator(cfg: LatticeConfig, states, mask: int, amp) -> scipy.sparse.csr_matrix:
+def wilson_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eight: bool):
+    """(flip mask, amplitude per state) of O_1 at c (eight=False) or of O_2
+    on the pair c, c+(0,1) (eight=True).
+
+    O_1: -(-1/2)^c times the flip of plaquette c.  O_2: -(-1/2)^c8
+    (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with c8 counted
+    around the eight-plaquette chain.
+    """
+    i, j = c
+    here = cfg.site(i, j)
+    if not eight:
+        chain = chain_sites(neighbor_chain6(c, cfg), cfg)
+        return 1 << here, -((-0.5) ** flip_exponent(states, chain))
+    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
+    above = cfg.site(i, (j + 1) % cfg.ny)
+    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
+    amp = -((-0.5) ** flip_exponent(states, chain)) * (1.0 + 3.0 * z0z1) / 4.0
+    return (1 << here) ^ (1 << above), amp
+
+
+def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> scipy.sparse.csr_matrix:
     """amp[s] at row |s ^ mask>, column s, over the working basis."""
+    states = state_array(cfg, cfg.periodic)
+    mask, amp = wilson_action(cfg, states, c, eight)
     rows = flipped(states, mask, cfg, cfg.periodic)
     dim = len(states)
     return scipy.sparse.coo_matrix((amp, (rows, states)), shape=(dim, dim)).tocsr()
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:
-    """O_1 at c as a sparse matrix over the working basis: -(-1/2)^c times
-    the flip of plaquette c."""
-    states = state_array(cfg, cfg.periodic)
-    chain = chain_sites(neighbor_chain6(c, cfg), cfg)
-    amp = -((-0.5) ** flip_exponent(states, chain))
-    return _flip_operator(cfg, states, 1 << cfg.site(*c), amp)
+    """O_1 at c as a sparse matrix over the working basis."""
+    return _wilson_operator(cfg, c, eight=False)
 
 
 def wilson2_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:
-    """O_2 on the pair c, c+(0,1) as a sparse matrix over the working basis:
-    -(-1/2)^c8 (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with
-    c8 counted around the eight-plaquette chain."""
-    i, j = c
-    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
-    here, above = cfg.site(i, j), cfg.site(i, (j + 1) % cfg.ny)
-    states = state_array(cfg, cfg.periodic)
-    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
-    amp = -((-0.5) ** flip_exponent(states, chain)) * (1.0 + 3.0 * z0z1) / 4.0
-    return _flip_operator(cfg, states, (1 << here) ^ (1 << above), amp)
+    """O_2 on the pair c, c+(0,1) as a sparse matrix over the working basis."""
+    return _wilson_operator(cfg, c, eight=True)
 
 
 def expectation(matrix, psi: StateVector) -> complex:

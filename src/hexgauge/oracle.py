@@ -475,15 +475,18 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
 
     # Per-state sign gauge, propagated over nonzero off-diagonals from the
     # vacuum; with the +1 amplitude convention every sign comes out +1.
+    # build_hamiltonian's CSR is canonical (sorted, no duplicates), so row
+    # s's stored entries are its nonzeros in ascending column order.
+    indptr, indices, data = spin.matrix.indptr, spin.matrix.indices, spin.matrix.data
     signs = np.zeros(dim)
     signs[0] = 1.0
     queue = [0]
     while queue:
         s = queue.pop()
-        row = a[s]
-        for t in range(dim):
-            if t != s and signs[t] == 0 and abs(row[t]) > 1e-9 and abs(b[s, t]) > 1e-9:
-                signs[t] = signs[s] * math.copysign(1.0, row[t] * b[s, t])
+        lo, hi = indptr[s], indptr[s + 1]
+        for t, v in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+            if t != s and signs[t] == 0 and abs(v) > 1e-9 and abs(b[s, t]) > 1e-9:
+                signs[t] = signs[s] * math.copysign(1.0, v * b[s, t])
                 queue.append(t)
     signs[signs == 0] = 1.0
 

@@ -10,8 +10,8 @@ of translation orbits of that quotient.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .lattice import BoundaryCondition, LatticeConfig
 
 # Hard cap so a careless config cannot try to materialize gigabytes of states.
 MAX_BITS = 22
-
-NORM_EPS = 1e-12
 
 
 def _check_capacity(cfg: LatticeConfig):
@@ -78,55 +76,71 @@ def _translation_perm(nx: int, ny: int, rx: int, ry: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def translate(s: int, rx: int, ry: int, cfg: LatticeConfig) -> int:
+def fold(states, cfg: LatticeConfig):
+    """The smaller member of each global-flip pair, for an int or int64 array."""
+    return np.minimum(states, states ^ full_mask(cfg))
+
+
+def translate(s, rx: int, ry: int, cfg: LatticeConfig):
     """Cyclically shift all plaquette occupations by (rx, ry).
 
-    Only meaningful under periodic BC.  The result is not re-canonicalized.
+    s is one state (int) or an int64 array of states.  Only meaningful
+    under periodic BC.  The result is not re-canonicalized.
     """
     if not cfg.periodic:
         raise ValueError("translation is only defined for periodic BC")
     perm = _translation_perm(cfg.nx, cfg.ny, rx % cfg.nx, ry % cfg.ny)
     t = 0
-    while s:
-        low = s & -s
-        t |= 1 << perm[low.bit_length() - 1]
-        s ^= low
+    for q, dest in enumerate(perm):
+        t |= ((s >> q) & 1) << dest
     return t
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitTable:
     """Orbits of the group generated by T_x, T_y and the global flip.
 
-    reps are the numerically smallest canonical states of their orbits.
-    to_rep maps every canonical state to (rep, rx, ry) such that the state
-    equals translate(rep, rx, ry) up to a global flip; the first (rx, ry)
-    in row-major scan order is stored.
+    Translations are indexed g = rx + nx*ry (row-major).  reps are the
+    numerically smallest canonical states of their orbits, ascending.  For
+    every canonical state s, s equals translate(rep[s], rx, ry) up to a
+    global flip with g = shift[s], the first such g in row-major order.
+    stabilizer[a, g] is True when translate(reps[a], g) is reps[a] up to a
+    global flip.
     """
 
     cfg: LatticeConfig
-    reps: list[int] = field(default_factory=list)
-    to_rep: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    reps: np.ndarray
+    rep: np.ndarray
+    shift: np.ndarray
+    stabilizer: np.ndarray
 
 
 def build_orbit_table(cfg: LatticeConfig) -> OrbitTable:
     if not cfg.periodic:
         raise ValueError("orbits are only defined for periodic BC")
-    _check_capacity(cfg)
-    table = OrbitTable(cfg)
-    seen = table.to_rep
-    for s in enumerate_basis(cfg):
-        if s in seen:
-            continue
-        # s is the smallest canonical state of its orbit because the scan
-        # is in increasing order.
-        table.reps.append(s)
-        for ry in range(cfg.ny):
-            for rx in range(cfg.nx):
-                t, _ = canonicalize(translate(s, rx, ry, cfg), cfg)
-                if t not in seen:
-                    seen[t] = (s, rx, ry)
-    return table
+    states = state_array(cfg, quotient=True)
+    rep = states.copy()
+    shift = np.zeros_like(states)
+    for g in range(1, cfg.n_plaq):
+        # fold(T^-g s) is the representative candidate reached by shift g;
+        # strict < keeps the first g that attains the minimum.
+        u = fold(translate(states, -(g % cfg.nx), -(g // cfg.nx), cfg), cfg)
+        better = u < rep
+        rep[better] = u[better]
+        shift[better] = g
+    reps = states[rep == states]
+    stabilizer = np.stack(
+        [fold(translate(reps, g % cfg.nx, g // cfg.nx, cfg), cfg) == reps
+         for g in range(cfg.n_plaq)],
+        axis=1,
+    )
+    return OrbitTable(cfg, reps, rep, shift, stabilizer)
+
+
+def momentum_numerator(cfg: LatticeConfig, nx_q: int, ny_q: int, rx, ry):
+    """k.r / 2pi as an integer numerator over nx*ny, reduced mod nx*ny, for
+    k = 2*pi*(nx_q/nx, ny_q/ny); rx and ry may be int64 arrays."""
+    return (nx_q * rx * cfg.ny + ny_q * ry * cfg.nx) % (cfg.nx * cfg.ny)
 
 
 def momentum_phase(cfg: LatticeConfig, nx_q: int, ny_q: int, rx: int, ry: int) -> complex:
@@ -135,51 +149,41 @@ def momentum_phase(cfg: LatticeConfig, nx_q: int, ny_q: int, rx: int, ry: int) -
     Computed from the reduced rational angle so that all phases are exact
     roots of unity (up to one cmath.exp rounding).
     """
-    num = (nx_q * rx * cfg.ny + ny_q * ry * cfg.nx) % (cfg.nx * cfg.ny)
+    num = momentum_numerator(cfg, nx_q, ny_q, rx, ry)
     return cmath.exp(-2j * cmath.pi * num / (cfg.nx * cfg.ny))
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentumSector:
     """One (k_x, k_y) block of the translation-diagonal basis.
 
     reps holds the orbit representatives whose momentum state survives, in
-    increasing order; norms holds the matching normalization factors N_a.
-    index maps representative -> position in reps.
+    increasing order (int64); norms holds the matching normalization
+    factors N_a.  index maps representative -> position in reps.
     """
 
     cfg: LatticeConfig
     nx_q: int
     ny_q: int
-    reps: list[int]
-    norms: list[float]
+    reps: np.ndarray
+    norms: np.ndarray
     orbits: OrbitTable
-    index: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {r: a for a, r in enumerate(self.reps)}
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return dict(zip(self.reps.tolist(), range(self.dim)))
 
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    def amplitudes(self, rep: int) -> dict[int, complex]:
-        """Unnormalized amplitude of each canonical state in |rep(k)>."""
-        amps: dict[int, complex] = {}
-        for ry in range(self.cfg.ny):
-            for rx in range(self.cfg.nx):
-                t, _ = canonicalize(translate(rep, rx, ry, self.cfg), self.cfg)
-                amps[t] = amps.get(t, 0j) + momentum_phase(self.cfg, self.nx_q, self.ny_q, rx, ry)
-        return amps
 
     def to_dict(self) -> dict:
         return {
             "nx_q": self.nx_q,
             "ny_q": self.ny_q,
             "dim": self.dim,
-            "reps": [format(r, "x") for r in self.reps],
-            "norms": self.norms,
+            "reps": list(map("{:x}".format, self.reps.tolist())),
+            "norms": self.norms.tolist(),
         }
 
 
@@ -188,9 +192,9 @@ def build_sector(
 ) -> MomentumSector:
     """Assemble the momentum sector (nx_q, ny_q).
 
-    N_a is obtained by summing the translation sweep explicitly, routing
-    every translate through canonicalize so the flip identification is
-    accounted for; representatives whose phase sum cancels are dropped.
+    The translates of a representative a repeat over the cosets of its
+    stabilizer S_a, so the phase sum of |a(k)> cancels unless k.g = 0 for
+    every g in S_a; the survivors have N_a = nx*ny*|S_a|.
     """
     if not cfg.periodic:
         raise ValueError("momentum sectors require periodic BC")
@@ -200,14 +204,11 @@ def build_sector(
         raise ValueError(f"momentum ({nx_q},{ny_q}) out of range for {cfg.nx}x{cfg.ny}")
     if orbits is None:
         orbits = build_orbit_table(cfg)
-    sector = MomentumSector(cfg, nx_q, ny_q, [], [], orbits)
-    for rep in orbits.reps:
-        norm = sum(abs(a) ** 2 for a in sector.amplitudes(rep).values())
-        if norm > NORM_EPS:
-            sector.index[rep] = len(sector.reps)
-            sector.reps.append(rep)
-            sector.norms.append(norm)
-    return sector
+    g = np.arange(cfg.n_plaq)
+    moving = momentum_numerator(cfg, nx_q, ny_q, g % cfg.nx, g // cfg.nx) != 0
+    keep = ~(orbits.stabilizer & moving).any(axis=1)
+    norms = (cfg.n_plaq * orbits.stabilizer[keep].sum(axis=1)).astype(float)
+    return MomentumSector(cfg, nx_q, ny_q, orbits.reps[keep], norms, orbits)
 
 
 def all_sectors(cfg: LatticeConfig) -> list[MomentumSector]:

@@ -105,3 +105,9 @@ def test_config_json_roundtrip(tmp_path):
     cfg = LatticeConfig.from_json(str(path))
     assert (cfg.nx, cfg.ny, cfg.bc, cfg.lam) == (2, 3, C, 0.5)
     assert LatticeConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_rejects_unknown_keys():
+    # a misspelled "bc" must not fall back to periodic
+    with pytest.raises(ValueError, match="unknown config keys: bcc"):
+        LatticeConfig.from_dict({"nx": 2, "ny": 2, "bcc": "closed", "lambda": 1.0})

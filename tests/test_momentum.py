@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from sector_reference import PERIODIC_UP_TO_12, flip_shift, sweep_orbits
+from sector_reference import hx_block as ref_hx_block
+from sector_reference import wilson_block as ref_wilson_block
 
-from hexgauge.hamiltonian import build_periodic, c_value, magnetic_coefficient
+from hexgauge.hamiltonian import build_periodic, c_value, h_x, j_zz, magnetic_coefficient
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
 from hexgauge.momentum import (
     _bracket,
@@ -173,15 +176,14 @@ def test_phases_match_naive_floats():
     # rational-angle phases agree with naive k.l arithmetic
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 1, 2)
+    _, to_rep = sweep_orbits(cfg)
     kx = 2 * math.pi * sector.nx_q / cfg.nx
     ky = 2 * math.pi * sector.ny_q / cfg.ny
     m = hx_block(sector).to_dense()
     naive = np.zeros_like(m)
-    from hexgauge.momentum import _flip_shift
-
-    for col, a in enumerate(sector.reps):
+    for col, a in enumerate(sector.reps.tolist()):
         for p in range(cfg.n_plaq):
-            hit = _flip_shift(sector, a ^ (1 << p))
+            hit = flip_shift(sector, to_rep, a ^ (1 << p))
             if hit is None:
                 continue
             row, nb, lx, ly = hit
@@ -190,3 +192,29 @@ def test_phases_match_naive_floats():
                 cmath.exp(-1j * (kx * lx + ky * ly)) * coeff * math.sqrt(nb / sector.norms[col])
             )
     assert np.max(np.abs(naive - m)) < 1e-12
+
+
+@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
+def test_blocks_match_scalar_loops(nx, ny):
+    # every sector pair up to 9 plaquettes, the k=0 pair beyond
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    _, to_rep = sweep_orbits(cfg)
+    sectors = all_sectors(cfg) if cfg.n_plaq <= 9 else [build_sector(cfg, 0, 0)]
+    for sa in sectors:
+        assert np.max(np.abs(hx_block(sa).to_dense() - ref_hx_block(sa, to_rep))) < 1e-13
+        for sb in sectors:
+            for eight, block in ((False, wilson1_block), (True, wilson2_block)):
+                ref = ref_wilson_block(sa, sb, to_rep, eight)
+                assert np.max(np.abs(block(sa, sb) - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])
+def test_k0_hamiltonian_block_real(nx, ny):
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    sector = build_sector(cfg, 0, 0)
+    real = hamiltonian_block(sector).to_dense()
+    assert real.dtype == np.float64
+    lam = cfg.lam
+    full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
+    assert full.dtype == np.complex128
+    assert np.max(np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(full))) < 1e-10

@@ -130,6 +130,13 @@ def test_basis_mismatch_guard():
         a.overlap(b)
 
 
+@pytest.mark.parametrize("s", [-1, 0x1FF, 1 << 4])
+def test_basis_state_rejects_out_of_range_word(s):
+    cfg = LatticeConfig(2, 2, P, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        basis_state(cfg, s)
+
+
 def test_evolve_t0_identity():
     cfg = LatticeConfig(2, 2, P, 1.0)
     op = build_periodic(cfg)

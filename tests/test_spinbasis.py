@@ -1,6 +1,14 @@
 import cmath
 
+import numpy as np
 import pytest
+from sector_reference import (
+    PERIODIC_UP_TO_12,
+    sweep_amplitudes,
+    sweep_norm,
+    sweep_orbits,
+    translate_scalar,
+)
 
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
 from hexgauge.spinbasis import (
@@ -11,6 +19,7 @@ from hexgauge.spinbasis import (
     complement,
     enumerate_basis,
     momentum_phase,
+    state_array,
     translate,
 )
 
@@ -103,8 +112,8 @@ def test_norms_reproduce_unit_norm():
     for nx, ny in [(2, 2), (3, 3)]:
         cfg = LatticeConfig(nx, ny, P, 1.0)
         for sector in all_sectors(cfg):
-            for a, rep in enumerate(sector.reps):
-                amps = sector.amplitudes(rep)
+            for a, rep in enumerate(sector.reps.tolist()):
+                amps = sweep_amplitudes(cfg, sector.nx_q, sector.ny_q, rep)
                 norm = sum(abs(v) ** 2 for v in amps.values()) / sector.norms[a]
                 assert abs(norm - 1.0) < 1e-12
 
@@ -155,3 +164,40 @@ def test_sector_out_of_range_momentum():
 def test_sector_rejects_degenerate_lattice():
     with pytest.raises(ValueError):
         build_sector(LatticeConfig(2, 1, P, 1.0), 0, 0)
+
+
+@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
+def test_translate_array_matches_scalar(nx, ny):
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    states = state_array(cfg, quotient=False)
+    if len(states) > 1024:
+        states = np.random.default_rng(nx * ny).choice(states, 1024, replace=False)
+    for ry in range(ny):
+        for rx in range(nx):
+            ref = [translate_scalar(s, rx, ry, cfg) for s in states.tolist()]
+            assert translate(states, rx, ry, cfg).tolist() == ref
+            assert [translate(s, rx, ry, cfg) for s in states.tolist()] == ref
+
+
+@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
+def test_orbit_table_matches_sweep(nx, ny):
+    # rep/shift reproduce the sweep's (rep, rx, ry), first (rx, ry) in
+    # row-major order included
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    table = build_orbit_table(cfg)
+    reps, to_rep = sweep_orbits(cfg)
+    assert table.reps.tolist() == reps
+    got = list(zip(table.rep.tolist(), (table.shift % nx).tolist(), (table.shift // nx).tolist()))
+    assert got == [to_rep[s] for s in range(1 << (cfg.n_plaq - 1))]
+
+
+@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
+def test_sectors_match_sweep(nx, ny):
+    # kept representatives and N_a equal the swept sum of |amplitude|^2
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    reps, _ = sweep_orbits(cfg)
+    for sector in all_sectors(cfg):
+        norms = [sweep_norm(cfg, sector.nx_q, sector.ny_q, r) for r in reps]
+        kept = [(r, n) for r, n in zip(reps, norms) if n > 1e-12]
+        assert sector.reps.tolist() == [r for r, _ in kept]
+        assert sector.norms.tolist() == [n for _, n in kept]
