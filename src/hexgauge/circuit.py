@@ -23,6 +23,7 @@ import numpy as np
 
 from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
+from .observables import StateVector, evolve
 
 COEFF_EPS = 1e-12
 
@@ -257,7 +258,7 @@ def emit_trotter_circuit(cfg: LatticeConfig, dt: float, steps: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Dense statevector verification
+# Statevector verification
 # ---------------------------------------------------------------------------
 
 VERIFY_MAX_QUBITS = 12
@@ -299,12 +300,11 @@ def apply_circuit(circ: Circuit, psi: np.ndarray) -> np.ndarray:
 def _probe_states(n: int) -> list[np.ndarray]:
     dim = 1 << n
     if n <= 6:
-        return [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
-    probes = [np.zeros(dim, dtype=complex) for _ in range(3)]
-    probes[0][0] = 1.0
-    probes[1][1] = 1.0
-    probes[2][:] = 1.0 / math.sqrt(dim)
-    return probes
+        return list(np.eye(dim, dtype=complex))
+    probes = np.zeros((3, dim), dtype=complex)
+    probes[0, 0] = probes[1, 1] = 1.0
+    probes[2] = 1.0 / math.sqrt(dim)
+    return list(probes)
 
 
 def verify_circuit(circ: Circuit, cfg: LatticeConfig, dt: float) -> float:
@@ -318,15 +318,10 @@ def verify_circuit(circ: Circuit, cfg: LatticeConfig, dt: float) -> float:
     n = cfg.n_plaq
     if n > VERIFY_MAX_QUBITS:
         raise ValueError(f"verification capped at {VERIFY_MAX_QUBITS} qubits")
-    if cfg.bc is BoundaryCondition.CLOSED:
-        ham = build_closed(cfg)
-    else:
-        ham = build_periodic_full(cfg)
-    vals, vecs = np.linalg.eigh(ham.to_dense())
-    phases = np.exp(-1j * vals * dt)
+    ham = build_closed(cfg) if cfg.bc is BoundaryCondition.CLOSED else build_periodic_full(cfg)
     worst = 0.0
     for probe in _probe_states(n):
-        exact = vecs @ (phases * (vecs.conj().T @ probe))
+        exact = evolve(ham, StateVector(probe, ham.label), dt).amplitudes
         approx = apply_circuit(circ, probe)
         ov = np.vdot(exact, approx)
         align = ov / abs(ov) if abs(ov) > 0 else 1.0

@@ -169,7 +169,7 @@ def cmd_wilson(args) -> int:
     cfg = _load_config(args)
     outputs = []
     op = build_hamiltonian(cfg)
-    spec = diagonalize(op, mode="full")
+    spec = diagonalize(op, mode="lowest", k=1)
     gs = spec.eigenvectors[:, 0]
     o1 = wilson1_operator(cfg, (0, 0))
     path = args.out + ".wilson.csv"

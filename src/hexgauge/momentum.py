@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import bond_diagonal, chain_table, flip_exponent, h_x, j_zz
 from .lattice import LatticeConfig
-from .observables import wilson_action
+from .observables import diagonalize, wilson_action
 from .spinbasis import MomentumSector, fold, momentum_numerator, momentum_phase, translate
 
 # Bracket factor constants of the Pauli-product magnetic form.
@@ -165,6 +165,6 @@ def sector_spectra(cfg: LatticeConfig) -> list[tuple[int, int, np.ndarray]]:
 
     out = []
     for sector in all_sectors(cfg):
-        block = hamiltonian_block(sector).to_dense()
-        out.append((sector.nx_q, sector.ny_q, np.linalg.eigvalsh(block)))
+        vals = diagonalize(hamiltonian_block(sector), vectors=False).eigenvalues
+        out.append((sector.nx_q, sector.ny_q, vals))
     return out

@@ -2,8 +2,9 @@
 
 Operators act in the working basis of the configured boundary condition:
 the full 2^N basis for closed BC, the flip-quotient basis for periodic.
-Evolution is exact (spectral decomposition), so norm and energy are
-conserved to rounding.
+Every eigen-solve and every exp(-iHt) goes through this module.  Evolution
+is Krylov propagation of the sparse H (scipy's expm_multiply) to double
+precision, so norm and energy are conserved to rounding.
 """
 
 from __future__ import annotations
@@ -194,21 +195,20 @@ def expectation(matrix, psi: StateVector) -> complex:
 # Time evolution
 # ---------------------------------------------------------------------------
 
-def evolve(op: SparseOperator, psi0: StateVector, t: float,
-           spectrum: Spectrum | None = None) -> StateVector:
-    """exp(-i H t)|psi0> via the spectral decomposition."""
-    _, psi = next(trajectory(op, psi0, [t], spectrum))
+def evolve(op: SparseOperator, psi0: StateVector, t: float) -> StateVector:
+    """exp(-i H t)|psi0> by Krylov propagation to double precision."""
+    _, psi = next(trajectory(op, psi0, [t]))
     return psi
 
 
-def trajectory(op: SparseOperator, psi0: StateVector, times, spectrum: Spectrum | None = None):
-    """Yield (t, StateVector) along exact evolution at the requested times."""
-    if spectrum is None:
-        spectrum = diagonalize(op, mode="full")
-    v = spectrum.eigenvectors
-    coeffs = v.conj().T @ psi0.amplitudes
+def trajectory(op: SparseOperator, psi0: StateVector, times):
+    """Yield (t, exp(-i H t)|psi0>), each a Krylov step to double precision
+    from the previous time (psi0 at t = 0); times may repeat or run backward."""
+    gen = -1j * op.matrix
+    t_prev, amps = 0.0, psi0.amplitudes
     for t in np.asarray(times, dtype=float):
-        amps = v @ (np.exp(-1j * spectrum.eigenvalues * t) * coeffs)
+        if t != t_prev:
+            amps, t_prev = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, amps), t
         yield float(t), StateVector(amps, psi0.label)
 
 

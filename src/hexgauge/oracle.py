@@ -448,51 +448,54 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     dim = spin.dim
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")
-    # Spin state -> gauge config via plaquette toggles.
-    to_gauge = []
-    for s in range(dim):
-        g = 0
-        for p in range(cfg.n_plaq):
-            if (s >> p) & 1:
-                g ^= enum.geo.hexmasks[p]
-        to_gauge.append(enum.reachable_index[g])
+    # Spin state s -> gauge config toggling its up plaquettes, built by
+    # doubling over the basis bits; its flip partner toggles the others.
+    configs = [0]
+    for mask in enum.geo.hexmasks[:dim.bit_length() - 1]:
+        configs += [g ^ mask for g in configs]
+    to_gauge = [enum.reachable_index[g] for g in configs]
     if len(set(to_gauge)) != dim:
         raise ValueError("plaquette-toggle map is not a bijection")
     if cfg.periodic:
-        for s in range(dim):
-            gf = 0
-            for p in range(cfg.n_plaq):
-                if not (s >> p) & 1:
-                    gf ^= enum.geo.hexmasks[p]
-            if enum.reachable_index[gf] != to_gauge[s]:
+        full = configs[-1] ^ enum.geo.hexmasks[-1]  # dim - 1 toggles all but the last
+        for s, g in enumerate(configs):
+            if enum.reachable_index[g ^ full] != to_gauge[s]:
                 raise RuntimeError(f"flip pair of state {s:#x} maps to two configs")
 
-    a = spin.to_dense()
+    a = spin.matrix
     perm = np.asarray(to_gauge)
-    b = ks_hamiltonian(cfg, enum).to_dense()[np.ix_(perm, perm)]
+    b = ks_hamiltonian(cfg, enum).matrix[perm][:, perm]
 
-    shift = float(np.mean(np.diag(b) - np.diag(a)))
+    shift = float(np.mean(b.diagonal() - a.diagonal()))
 
     # Per-state sign gauge, propagated over nonzero off-diagonals from the
     # vacuum; with the +1 amplitude convention every sign comes out +1.
     # build_hamiltonian's CSR is canonical (sorted, no duplicates), so row
     # s's stored entries are its nonzeros in ascending column order.
-    indptr, indices, data = spin.matrix.indptr, spin.matrix.indices, spin.matrix.data
+    indptr, indices, data = a.indptr, a.indices, a.data
+    b_at = np.asarray(b[np.repeat(np.arange(dim), np.diff(indptr)), indices]).ravel()
     signs = np.zeros(dim)
     signs[0] = 1.0
     queue = [0]
     while queue:
         s = queue.pop()
         lo, hi = indptr[s], indptr[s + 1]
-        for t, v in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
-            if t != s and signs[t] == 0 and abs(v) > 1e-9 and abs(b[s, t]) > 1e-9:
-                signs[t] = signs[s] * math.copysign(1.0, v * b[s, t])
+        for t, v, w in zip(indices[lo:hi].tolist(), data[lo:hi].tolist(), b_at[lo:hi].tolist()):
+            if t != s and signs[t] == 0 and abs(v) > 1e-9 and abs(w) > 1e-9:
+                signs[t] = signs[s] * math.copysign(1.0, v * w)
                 queue.append(t)
     signs[signs == 0] = 1.0
 
-    resid = np.abs(np.outer(signs, signs) * b - a - shift * np.eye(dim))
-    worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    max_dev = float(resid[worst])
+    # Stored entries of the canonical residual, in row-major order: argmax
+    # picks the first worst entry, as over the dense array.
+    d = scipy.sparse.diags(signs)
+    resid = abs(d @ b @ d - a - shift * scipy.sparse.identity(dim))
+    resid.sum_duplicates()
+    max_dev = float(resid.data.max(initial=0.0))
+    worst = None
+    if max_dev >= TOL_CERT:
+        k = int(np.argmax(resid.data))
+        worst = (int(np.searchsorted(resid.indptr, k, side="right")) - 1, int(resid.indices[k]))
     return CertReport(
         cfg=cfg,
         n_gauss=enum.n_gauss,
@@ -501,6 +504,6 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
         shift=shift,
         max_deviation=max_dev,
         passed=bool(max_dev < TOL_CERT),
-        worst_entry=(int(worst[0]), int(worst[1])) if max_dev >= TOL_CERT else None,
+        worst_entry=worst,
         nontrivial_signs=int(np.sum(signs < 0)),
     )

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from hexgauge.circuit import emit_trotter_step, verify_circuit
 from hexgauge.hamiltonian import build_closed, build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
 from hexgauge.observables import (
@@ -170,12 +171,26 @@ def test_vacuum_quench_o1_series_vs_expm():
     o1 = wilson1_operator(cfg, (0, 0))
     psi0 = basis_state(cfg, 0)
     dense = op.to_dense()
-    for t, psi in trajectory(op, psi0, [0.0, 0.5, 1.0, 2.0]):
+    for t, psi in trajectory(op, psi0, [0.0, 0.5, 0.5, 1.0, 2.0, 1.2]):
         ref = scipy.linalg.expm(-1j * dense * t) @ psi0.amplitudes
         v_ref = np.vdot(ref, o1 @ ref)
         v = expectation(o1, psi)
         assert abs(v - v_ref) < 1e-10
         assert abs(v.imag) < 1e-10
+
+
+def test_evolution_needs_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cfg = LatticeConfig(3, 3, P, 1.0)
+    out = evolve(build_periodic(cfg), basis_state(cfg, 0), 2.0)
+    assert abs(out.norm() - 1.0) < 1e-12
+    for bc in (P, C):
+        cfg = LatticeConfig(2, 2, bc, 1.0)
+        assert 0.0 < verify_circuit(emit_trotter_step(cfg, 0.05), cfg, 0.05) < 0.05
 
 
 def test_evolve_norm_and_energy_drift():

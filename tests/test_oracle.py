@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hexgauge.hamiltonian import h_plus, h_x
+from hexgauge.hamiltonian import SparseOperator, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
 from hexgauge.oracle import (
     build_geometry,
@@ -215,6 +215,17 @@ def test_certify(nx, ny, bc, lam):
     assert report.passed
     assert report.max_deviation < 1e-10
     assert report.nontrivial_signs == 0
+
+
+@pytest.mark.parametrize("bc", [P, C])
+@pytest.mark.parametrize("perturbation", [None, 1e-3])
+def test_certify_stays_sparse(monkeypatch, bc, perturbation):
+    def refuse(self):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    report = certify_isomorphism(LatticeConfig(2, 3, bc, 1.0), perturbation)
+    assert report.passed is (perturbation is None)
 
 
 def test_certify_shift_values():
