@@ -13,14 +13,7 @@ if _threads:
 __version__ = "0.1.0"
 
 from .lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
-from .spinbasis import (
-    MomentumSector,
-    all_sectors,
-    build_sector,
-    canonicalize,
-    enumerate_basis,
-    translate,
-)
+from .spinbasis import MomentumSector, all_sectors, build_sector, translate
 from .hamiltonian import (
     SparseOperator,
     build_closed,
@@ -43,5 +36,5 @@ from .observables import (
     wilson2_apply,
 )
 from .oracle import certify_isomorphism, enumerate_gauge_states, ks_hamiltonian, wigner_6j
-from .momentum import SectorBlock, hamiltonian_block, hx_block, hzz_block, wilson1_block, wilson2_block
+from .momentum import hamiltonian_block, hx_block, hzz_block, wilson1_block, wilson2_block
 from .circuit import Circuit, PauliTerm, emit_trotter_step, pauli_expand, verify_circuit

@@ -297,14 +297,15 @@ def apply_circuit(circ: Circuit, psi: np.ndarray) -> np.ndarray:
     return psi.reshape(dim)
 
 
-def _probe_states(n: int) -> list[np.ndarray]:
+def _probe_states(n: int) -> np.ndarray:
+    """The probe states as the columns of a (2^n, n_probes) block."""
     dim = 1 << n
     if n <= 6:
-        return list(np.eye(dim, dtype=complex))
-    probes = np.zeros((3, dim), dtype=complex)
+        return np.eye(dim, dtype=complex)
+    probes = np.zeros((dim, 3), dtype=complex)
     probes[0, 0] = probes[1, 1] = 1.0
-    probes[2] = 1.0 / math.sqrt(dim)
-    return list(probes)
+    probes[:, 2] = 1.0 / math.sqrt(dim)
+    return probes
 
 
 def verify_circuit(circ: Circuit, cfg: LatticeConfig, dt: float) -> float:
@@ -319,9 +320,10 @@ def verify_circuit(circ: Circuit, cfg: LatticeConfig, dt: float) -> float:
     if n > VERIFY_MAX_QUBITS:
         raise ValueError(f"verification capped at {VERIFY_MAX_QUBITS} qubits")
     ham = build_closed(cfg) if cfg.bc is BoundaryCondition.CLOSED else build_periodic_full(cfg)
+    probes = _probe_states(n)
+    exact_states = evolve(ham, StateVector(probes, ham.label), dt).amplitudes
     worst = 0.0
-    for probe in _probe_states(n):
-        exact = evolve(ham, StateVector(probe, ham.label), dt).amplitudes
+    for probe, exact in zip(probes.T, exact_states.T):
         approx = apply_circuit(circ, probe)
         ov = np.vdot(exact, approx)
         align = ov / abs(ov) if abs(ov) > 0 else 1.0

@@ -30,7 +30,7 @@ from .observables import (
     wilson2_operator,
 )
 from .oracle import certify_isomorphism
-from .spinbasis import all_sectors, build_sector, enumerate_basis
+from .spinbasis import all_sectors, build_sector, state_array
 
 
 def _fmt(x: float) -> str:
@@ -123,7 +123,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_basis(args) -> int:
     cfg = _load_config(args)
-    states = enumerate_basis(cfg)
+    states = state_array(cfg, cfg.periodic).tolist()
     path = args.out + ".basis.json"
     with open(path, "w") as f:
         json.dump(
@@ -187,7 +187,8 @@ def cmd_wilson(args) -> int:
             return 2
         ka = build_sector(cfg, *args.sector)
         kb = build_sector(cfg, *args.sector_prime)
-        for name, block in (("o1", wilson1_block(ka, kb)), ("o2", wilson2_block(ka, kb))):
+        for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):
+            block = make(ka, kb).toarray()
             bpath = f"{args.out}.{name}_block.csv"
             with open(bpath, "w") as f:
                 f.write("row,col,re,im\n")

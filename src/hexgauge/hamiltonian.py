@@ -54,9 +54,22 @@ def j_zz(lam: float) -> float:
     return -9.0 * SQRT3 / 32.0 * lam
 
 
+def basis_label(cfg: LatticeConfig, quotient: bool, k: tuple[int, int] | None = None) -> str:
+    """The tag shared by every operator and state over one basis: its kind
+    (closed-full, periodic-full, periodic-quotient or the momentum sector k
+    of the quotient) and the lattice size."""
+    if k is not None:
+        kind = f"sector{k}"
+    elif quotient:
+        kind = "periodic-quotient"
+    else:
+        kind = f"{cfg.bc.value}-full"
+    return f"{kind}:{cfg.nx}x{cfg.ny}"
+
+
 @dataclass
 class SparseOperator:
-    """Real symmetric sparse matrix over the basis states 0 .. dim-1."""
+    """Hermitian sparse matrix over the basis states 0 .. dim-1."""
 
     matrix: scipy.sparse.csr_matrix
     cfg: LatticeConfig
@@ -72,6 +85,14 @@ class SparseOperator:
     def export_mtx(self, path: str):
         """MatrixMarket coordinate export (symmetric real)."""
         scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field="real", symmetry="symmetric")
+
+
+def _triplets_csr(rows, cols, vals, shape) -> scipy.sparse.csr_matrix:
+    """Canonical CSR from lists of (row, col, value) arrays: duplicates
+    summed, column indices sorted."""
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
 
 
 @lru_cache(maxsize=None)
@@ -214,9 +235,4 @@ def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
         cols.append(states)
         vals.append(powers[flip_exponent(states, chain)])
     dim = len(states)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    ).tocsr()
-    mat.sort_indices()
-    label = "periodic-quotient" if quotient else f"{cfg.bc.value}-full"
-    return SparseOperator(mat, cfg, label)
+    return SparseOperator(_triplets_csr(rows, cols, vals, (dim, dim)), cfg, basis_label(cfg, quotient))

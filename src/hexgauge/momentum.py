@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .hamiltonian import bond_diagonal, chain_table, flip_exponent, h_x, j_zz
+from .hamiltonian import (SparseOperator, _triplets_csr, basis_label, bond_diagonal, chain_table,
+                          flip_exponent, h_x, j_zz)
 from .lattice import LatticeConfig
 from .observables import diagonalize, wilson_action
 from .spinbasis import MomentumSector, fold, momentum_numerator, momentum_phase, translate
@@ -24,22 +25,6 @@ from .spinbasis import MomentumSector, fold, momentum_numerator, momentum_phase,
 # Bracket factor constants of the Pauli-product magnetic form.
 ALPHA = 0.5 - 0.5j / math.sqrt(2.0)
 BETA = 0.5 + 0.5j / math.sqrt(2.0)
-
-
-@dataclass
-class SectorBlock:
-    """One operator block over a momentum sector's representatives."""
-
-    sector: MomentumSector
-    matrix: np.ndarray
-    label: str
-
-    @property
-    def dim(self) -> int:
-        return self.sector.dim
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix
 
 
 def _roots(den: int) -> np.ndarray:
@@ -64,34 +49,41 @@ def _targets(sector: MomentumSector, flipped: np.ndarray):
     return row, hit, sector.norms[row], ((-g) % cfg.nx, (-(g // cfg.nx)) % cfg.ny)
 
 
-def hzz_block(sector: MomentumSector) -> SectorBlock:
+def _operator(sector: MomentumSector, matrix) -> SparseOperator:
+    return SparseOperator(matrix, sector.cfg, basis_label(sector.cfg, True, (sector.nx_q, sector.ny_q)))
+
+
+def hzz_block(sector: MomentumSector) -> SparseOperator:
     """Diagonal electric block: sum of the three forward bond products."""
-    return SectorBlock(sector, np.diag(bond_diagonal(sector.reps, sector.cfg).astype(complex)), "hzz")
+    cols = np.arange(sector.dim)
+    diag = bond_diagonal(sector.reps, sector.cfg).astype(float)
+    return _operator(sector, _triplets_csr([cols], [cols], [diag], (sector.dim, sector.dim)))
 
 
-def hx_block(sector: MomentumSector) -> SectorBlock:
+def hx_block(sector: MomentumSector) -> SparseOperator:
     """Magnetic block: flip, relocate to the target representative, weight
     by exp(-i k.l) * (-1/2)^c * sqrt(N_b/N_a)."""
     cfg = sector.cfg
     roots = _roots(cfg.n_plaq)
     reps, cols = sector.reps, np.arange(sector.dim)
-    mat = np.zeros((sector.dim, sector.dim), dtype=complex)
+    triplets = ([], [], [])
     for p, chain in enumerate(chain_table(cfg)):
         row, hit, nb, (lx, ly) = _targets(sector, reps ^ (1 << p))
         phase = roots[-momentum_numerator(cfg, sector.nx_q, sector.ny_q, lx, ly) % cfg.n_plaq]
         vals = phase * (-0.5) ** flip_exponent(reps, chain) * np.sqrt(nb / sector.norms)
-        np.add.at(mat, (row[hit], cols[hit]), vals[hit])
-    return SectorBlock(sector, mat, "hx")
+        for part, x in zip(triplets, (row, cols, vals)):
+            part.append(x[hit])
+    return _operator(sector, _triplets_csr(*triplets, (sector.dim, sector.dim)))
 
 
-def hamiltonian_block(sector: MomentumSector) -> SectorBlock:
+def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
     """J * H_zz + h_x * H_x restricted to the sector; real (float) when every
     phase is real, as at k = 0."""
     lam = sector.cfg.lam
-    m = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
-    if not m.imag.any():
+    m = j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix
+    if not m.data.imag.any():
         m = m.real
-    return SectorBlock(sector, m, "hamiltonian")
+    return _operator(sector, m)
 
 
 def _bracket(s: int, sites: list[int]) -> complex:
@@ -104,7 +96,7 @@ def _bracket(s: int, sites: list[int]) -> complex:
     return prod
 
 
-def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> np.ndarray:
+def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:
     """<b(k')| O_1 |a(k)> for the single-plaquette loop at the origin.
 
     Implements the double translation sum with the phase
@@ -114,18 +106,18 @@ def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> np.ndarra
     return _wilson_block(sector, sector_p, eight=False)
 
 
-def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> np.ndarray:
+def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:
     """<b(k')| O_2 |a(k)> for the two-plaquette loop at (0,0),(0,1)."""
     return _wilson_block(sector, sector_p, eight=True)
 
 
-def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool) -> np.ndarray:
+def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool) -> scipy.sparse.csr_matrix:
     cfg = sector.cfg
     if sector_p.cfg != cfg:
         raise ValueError("sectors belong to different lattices")
     roots = _roots(cfg.n_plaq)
     reps, cols = sector.reps, np.arange(sector.dim)
-    mat = np.zeros((sector_p.dim, sector.dim), dtype=complex)
+    triplets = ([], [], [])
     for ry in range(cfg.ny):
         for rx in range(cfg.nx):
             mask, amp = wilson_action(cfg, reps, ((-rx) % cfg.nx, (-ry) % cfg.ny), eight)
@@ -137,8 +129,9 @@ def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool)
                 - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
             )
             vals = np.sqrt(nb / sector.norms) / cfg.n_plaq * roots[num % cfg.n_plaq] * amp
-            np.add.at(mat, (row[hit], cols[hit]), vals[hit])
-    return mat
+            for part, x in zip(triplets, (row, cols, vals)):
+                part.append(x[hit])
+    return _triplets_csr(*triplets, (sector_p.dim, sector.dim))
 
 
 def momentum_transform(sector: MomentumSector) -> np.ndarray:

@@ -15,17 +15,12 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hamiltonian import SparseOperator, flip_exponent, flipped
+from .hamiltonian import SparseOperator, _triplets_csr, basis_label, flip_exponent, flipped
 from .lattice import LatticeConfig, chain_sites, neighbor_chain6, neighbor_chain8
-from .spinbasis import canonicalize, state_array
+from .spinbasis import fold, state_array
 
 RESIDUAL_TOL = 1e-8
 DENSE_MAX_DIM = 1 << 16
-
-
-def basis_label(cfg: LatticeConfig) -> str:
-    kind = "periodic-quotient" if cfg.periodic else "closed-full"
-    return f"{kind}:{cfg.nx}x{cfg.ny}"
 
 
 @dataclass
@@ -62,11 +57,11 @@ def basis_state(cfg: LatticeConfig, s: int) -> StateVector:
     if not 0 <= s < 1 << cfg.n_plaq:
         raise ValueError(f"spin word {s:#x} outside [0, 2^{cfg.n_plaq}) for {cfg.nx}x{cfg.ny}")
     if cfg.periodic:
-        s, _ = canonicalize(s, cfg)
+        s = fold(s, cfg)
     dim = 1 << (cfg.n_plaq - cfg.periodic)
     amps = np.zeros(dim, dtype=complex)
     amps[s] = 1.0
-    return StateVector(amps, basis_label(cfg))
+    return StateVector(amps, basis_label(cfg, cfg.periodic))
 
 
 @dataclass
@@ -88,14 +83,13 @@ class Spectrum:
 
 
 def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: bool = True) -> Spectrum:
-    """Eigenvalues (ascending) of a real symmetric operator.
+    """Eigenvalues (ascending) of a Hermitian operator.
 
     mode "full": dense diagonalization, allowed up to dim 2^16.
     mode "lowest": k extremal (smallest-algebraic) eigenpairs, iterative,
     with 1 <= k < dim and a fixed pseudo-random start vector, so repeated
     solves return the same eigenvalues.
     """
-    label = getattr(op, "label", "operator")
     if mode == "full":
         if op.dim > DENSE_MAX_DIM:
             raise ValueError(f"dimension {op.dim} too large for full diagonalization")
@@ -110,7 +104,7 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
         # as all ones lies in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix.astype(float), k=k, which="SA", v0=v0)
+            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=k, which="SA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise RuntimeError(f"eigensolver did not converge: {err}") from err
         order = np.argsort(vals)
@@ -119,7 +113,7 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
             vecs = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    spec = Spectrum(np.asarray(vals, float), vecs, label)
+    spec = Spectrum(np.asarray(vals, float), vecs, op.label)
     if vecs is not None:
         resid = spec.check_residuals(op)
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -174,7 +168,7 @@ def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> sci
     mask, amp = wilson_action(cfg, states, c, eight)
     rows = flipped(states, mask, cfg, cfg.periodic)
     dim = len(states)
-    return scipy.sparse.coo_matrix((amp, (rows, states)), shape=(dim, dim)).tocsr()
+    return _triplets_csr([rows], [states], [amp], (dim, dim))
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:
@@ -196,14 +190,16 @@ def expectation(matrix, psi: StateVector) -> complex:
 # ---------------------------------------------------------------------------
 
 def evolve(op: SparseOperator, psi0: StateVector, t: float) -> StateVector:
-    """exp(-i H t)|psi0> by Krylov propagation to double precision."""
+    """exp(-i H t)|psi0> by Krylov propagation to double precision; psi0
+    may be one state or a (dim, n) block with one state per column."""
     _, psi = next(trajectory(op, psi0, [t]))
     return psi
 
 
 def trajectory(op: SparseOperator, psi0: StateVector, times):
     """Yield (t, exp(-i H t)|psi0>), each a Krylov step to double precision
-    from the previous time (psi0 at t = 0); times may repeat or run backward."""
+    from the previous time (psi0 at t = 0); times may repeat or run backward.
+    psi0 may be a (dim, n) block with one state per column."""
     gen = -1j * op.matrix
     t_prev, amps = 0.0, psi0.amplitudes
     for t in np.asarray(times, dtype=float):

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import BoundaryCondition, LatticeConfig
+from .lattice import LatticeConfig
 
 # Hard cap so a careless config cannot try to materialize gigabytes of states.
 MAX_BITS = 22
@@ -33,35 +33,10 @@ def full_mask(cfg: LatticeConfig) -> int:
     return (1 << cfg.n_plaq) - 1
 
 
-def complement(s: int, cfg: LatticeConfig) -> int:
-    return s ^ full_mask(cfg)
-
-
-def canonicalize(s: int, cfg: LatticeConfig) -> tuple[int, bool]:
-    """Global-flip representative: the smaller of (s, complement) and a flag."""
-    t = complement(s, cfg)
-    if t < s:
-        return t, True
-    return s, False
-
-
-def enumerate_basis(cfg: LatticeConfig) -> list[int]:
-    """All basis states in increasing order.
-
-    Closed BC: the full 2^N states.  Periodic BC: the 2^(N-1) canonical
-    states, one per global-flip pair.
-    """
-    _check_capacity(cfg)
-    n = cfg.n_plaq
-    if cfg.bc is BoundaryCondition.CLOSED:
-        return list(range(1 << n))
-    # s < complement(s) picks exactly one member of each flip pair; the
-    # canonical states are precisely those with the top bit clear.
-    return list(range(1 << (n - 1)))
-
-
 def state_array(cfg: LatticeConfig, quotient: bool) -> np.ndarray:
-    """The flip-quotient basis (quotient=True) or all 2^N states, as int64."""
+    """The flip-quotient basis (quotient=True) or all 2^N states, as int64,
+    in increasing order; the smaller member of each flip pair is the one
+    with the top bit clear, so the quotient is 0 .. 2^(N-1) - 1."""
     _check_capacity(cfg)
     return np.arange(1 << (cfg.n_plaq - quotient), dtype=np.int64)
 

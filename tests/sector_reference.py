@@ -15,7 +15,7 @@ import numpy as np
 from hexgauge.hamiltonian import c_value
 from hexgauge.lattice import neighbor_chain6, neighbor_chain8
 from hexgauge.momentum import _bracket
-from hexgauge.spinbasis import canonicalize, momentum_phase
+from hexgauge.spinbasis import fold, momentum_phase
 
 # Every periodic lattice the momentum features accept, up to 12 plaquettes.
 PERIODIC_UP_TO_12 = [(nx, ny) for nx in range(2, 7) for ny in range(2, 7) if nx * ny <= 12]
@@ -42,7 +42,7 @@ def sweep_orbits(cfg):
         reps.append(s)
         for ry in range(cfg.ny):
             for rx in range(cfg.nx):
-                t, _ = canonicalize(translate_scalar(s, rx, ry, cfg), cfg)
+                t = int(fold(translate_scalar(s, rx, ry, cfg), cfg))
                 to_rep.setdefault(t, (s, rx, ry))
     return reps, to_rep
 
@@ -52,7 +52,7 @@ def sweep_amplitudes(cfg, nx_q: int, ny_q: int, rep: int) -> dict:
     amps = {}
     for ry in range(cfg.ny):
         for rx in range(cfg.nx):
-            t, _ = canonicalize(translate_scalar(rep, rx, ry, cfg), cfg)
+            t = int(fold(translate_scalar(rep, rx, ry, cfg), cfg))
             amps[t] = amps.get(t, 0j) + momentum_phase(cfg, nx_q, ny_q, rx, ry)
     return amps
 
@@ -65,7 +65,7 @@ def flip_shift(sector, to_rep: dict, flipped: int):
     """(row, N_b, lx, ly) with T^l |flipped> ~ |b>, or None when b's momentum
     state vanishes in the sector."""
     cfg = sector.cfg
-    b, rx, ry = to_rep[canonicalize(flipped, cfg)[0]]
+    b, rx, ry = to_rep[int(fold(flipped, cfg))]
     row = sector.index.get(b)
     if row is None:
         return None

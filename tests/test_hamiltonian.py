@@ -28,7 +28,7 @@ from hexgauge.lattice import (
     neighbor_chain6,
     neighbor_chain8,
 )
-from hexgauge.spinbasis import canonicalize, complement, enumerate_basis, translate
+from hexgauge.spinbasis import fold, full_mask, state_array, translate
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -153,7 +153,7 @@ def test_flip_invariance_of_c_exhaustive():
         cfg = LatticeConfig(nx, ny, P, 1.0)
         n = cfg.n_plaq
         for s in range(1 << n):
-            f = complement(s, cfg)
+            f = s ^ full_mask(cfg)
             for p in range(n):
                 assert c_value(s, cfg.coord(p), cfg) == c_value(f, cfg.coord(p), cfg)
 
@@ -178,9 +178,9 @@ def test_flip_invariance_of_c_vectorized_4x4():
 def translation_permutation(cfg: LatticeConfig, rx: int, ry: int, quotient: bool) -> np.ndarray:
     """perm[s] = index of T_x^rx T_y^ry |s> in the chosen basis."""
     if quotient:
-        states = enumerate_basis(cfg)
+        states = state_array(cfg, cfg.periodic).tolist()
         return np.array(
-            [canonicalize(translate(s, rx, ry, cfg), cfg)[0] for s in states], dtype=np.int64
+            [fold(translate(s, rx, ry, cfg), cfg) for s in states], dtype=np.int64
         )
     return np.array(
         [translate(s, rx, ry, cfg) for s in range(1 << cfg.n_plaq)], dtype=np.int64
@@ -237,9 +237,9 @@ def test_quotient_matches_full_flip_even_sector():
     n = cfg.n_plaq
     dim = 1 << (n - 1)
     iso = np.zeros((1 << n, dim))
-    for s in enumerate_basis(cfg):
+    for s in state_array(cfg, cfg.periodic).tolist():
         iso[s, s] = 1 / math.sqrt(2)
-        iso[complement(s, cfg), s] = 1 / math.sqrt(2)
+        iso[s ^ full_mask(cfg), s] = 1 / math.sqrt(2)
     assert np.max(np.abs(iso.T @ full @ iso - quot)) < 1e-12
 
 
@@ -316,7 +316,7 @@ def _scalar_assemble(cfg: LatticeConfig, quotient: bool) -> scipy.sparse.csr_mat
         for p in range(n):
             t = s ^ (1 << p)
             if quotient:
-                t, _ = canonicalize(t, cfg)
+                t = fold(t, cfg)
             rows.append(t)
             cols.append(s)
             vals.append(h_x(lam) * magnetic_coefficient(s, cfg.coord(p), cfg))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from sector_reference import PERIODIC_UP_TO_12, flip_shift, sweep_orbits
 from sector_reference import hx_block as ref_hx_block
 from sector_reference import wilson_block as ref_wilson_block
@@ -19,7 +20,7 @@ from hexgauge.momentum import (
     wilson1_block,
     wilson2_block,
 )
-from hexgauge.observables import wilson1_operator, wilson2_operator
+from hexgauge.observables import diagonalize, wilson1_operator, wilson2_operator
 from hexgauge.spinbasis import all_sectors, build_sector
 
 P = BoundaryCondition.PERIODIC
@@ -110,8 +111,8 @@ def test_wilson_blocks_vs_conjugation(nx, ny):
         for b, sb in enumerate(sectors):
             ref1 = transforms[b].conj().T @ o1 @ transforms[a]
             ref2 = transforms[b].conj().T @ o2 @ transforms[a]
-            assert np.max(np.abs(wilson1_block(sa, sb) - ref1)) < 1e-10
-            assert np.max(np.abs(wilson2_block(sa, sb) - ref2)) < 1e-10
+            assert np.max(np.abs(wilson1_block(sa, sb).toarray() - ref1)) < 1e-10
+            assert np.max(np.abs(wilson2_block(sa, sb).toarray() - ref2)) < 1e-10
 
 
 def test_wilson1_vacuum_elements():
@@ -144,7 +145,7 @@ def test_wilson2_hermitian_pairing():
     for nx, ny in [(2, 3), (3, 3)]:
         cfg = LatticeConfig(nx, ny, P, 1.0)
         for sector in all_sectors(cfg):
-            w = wilson2_block(sector, sector)
+            w = wilson2_block(sector, sector).toarray()
             assert np.max(np.abs(w - w.conj().T)) < 1e-12
 
 
@@ -154,7 +155,7 @@ def test_wilson2_not_hermitian_on_2x2():
     # cross-check above still holds, which pins the convention
     cfg = LatticeConfig(2, 2, P, 1.0)
     sector = build_sector(cfg, 0, 0)
-    w = wilson2_block(sector, sector)
+    w = wilson2_block(sector, sector).toarray()
     assert np.max(np.abs(w - w.conj().T)) > 0.1
 
 
@@ -205,16 +206,31 @@ def test_blocks_match_scalar_loops(nx, ny):
         for sb in sectors:
             for eight, block in ((False, wilson1_block), (True, wilson2_block)):
                 ref = ref_wilson_block(sa, sb, to_rep, eight)
-                assert np.max(np.abs(block(sa, sb) - ref)) < 1e-13
+                assert np.max(np.abs(block(sa, sb).toarray() - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])
 def test_k0_hamiltonian_block_real(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
     sector = build_sector(cfg, 0, 0)
+    for block in (hamiltonian_block(sector).matrix, hx_block(sector).matrix,
+                  wilson1_block(sector, sector), wilson2_block(sector, sector)):
+        assert scipy.sparse.issparse(block)
     real = hamiltonian_block(sector).to_dense()
     assert real.dtype == np.float64
     lam = cfg.lam
     full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
     assert full.dtype == np.complex128
     assert np.max(np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(full))) < 1e-10
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])
+def test_lowest_mode_on_complex_blocks(nx, ny):
+    # the extremal solver keeps the phases of k != 0 blocks
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    for sector in all_sectors(cfg)[1:]:
+        block = hamiltonian_block(sector)
+        full = diagonalize(block, vectors=False).eigenvalues
+        low = diagonalize(block, mode="lowest", k=2).eigenvalues
+        assert np.max(np.abs(low - full[:2])) < 1e-10
+        assert block.label == f"sector({sector.nx_q}, {sector.ny_q}):{nx}x{ny}"

@@ -22,7 +22,7 @@ from hexgauge.observables import (
     wilson2_apply,
     wilson2_operator,
 )
-from hexgauge.spinbasis import canonicalize, enumerate_basis
+from hexgauge.spinbasis import fold, state_array
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -54,6 +54,17 @@ def test_lowest_mode_matches_full():
     assert np.allclose(low.eigenvalues, full.eigenvalues[:4], atol=1e-8)
 
 
+@pytest.mark.parametrize("bc", [P, C])
+def test_eigenvector_shares_basis_state_label(bc):
+    # the assembler and basis_state tag the same basis with the same label
+    cfg = LatticeConfig(3, 3, bc, 1.0)
+    op = build_periodic(cfg) if bc is P else build_closed(cfg)
+    spec = diagonalize(op, mode="lowest", k=1)
+    gs = StateVector(spec.eigenvectors[:, 0], op.label)
+    assert abs(gs.overlap(basis_state(cfg, 0))) > 0.1
+    assert op.label == f"{'periodic-quotient' if bc is P else 'closed-full'}:3x3"
+
+
 def test_periodic_2x2_spectrum_size():
     cfg = LatticeConfig(2, 2, P, 1.0)
     spec = diagonalize(build_periodic(cfg), vectors=False)
@@ -70,7 +81,7 @@ def test_wilson1_apply_vacuum():
 def test_wilson1_apply_twice_support():
     # configuration-level involution: O1^2 |s> is supported on |s> alone
     cfg = LatticeConfig(2, 2, P, 1.0)
-    for s in enumerate_basis(cfg):
+    for s in state_array(cfg, cfg.periodic).tolist():
         once = wilson1_apply(s, (0, 0), cfg)
         twice = wilson1_apply(once, (0, 0), cfg)
         support = np.nonzero(np.abs(twice.amplitudes) > 1e-14)[0]
@@ -243,7 +254,7 @@ def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matri
     i, j = c
     chain = neighbor_chain8(c, cfg) if eight else neighbor_chain6(c, cfg)
     here, above = cfg.site(i, j), cfg.site(i, (j + 1) % cfg.ny)
-    states = enumerate_basis(cfg)
+    states = state_array(cfg, cfg.periodic).tolist()
     rows, vals = [], []
     for s in states:
         z = [-1 if q is None else 2 * ((s >> cfg.site(*q)) & 1) - 1 for q in chain]
@@ -253,7 +264,7 @@ def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matri
             z0, z1 = 2 * ((s >> here) & 1) - 1, 2 * ((s >> above) & 1) - 1
             amp, t = amp * (1.0 + 3.0 * z0 * z1) / 4.0, t ^ (1 << above)
         if cfg.periodic:
-            t, _ = canonicalize(t, cfg)
+            t = fold(t, cfg)
         rows.append(t)
         vals.append(amp)
     dim = len(states)

@@ -19,7 +19,7 @@ from hexgauge.oracle import (
     vertex_factor_table,
     wigner_6j,
 )
-from hexgauge.spinbasis import enumerate_basis
+from hexgauge.spinbasis import state_array
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -122,7 +122,7 @@ def test_reachable_counts(nx, ny, bc, count):
     cfg = LatticeConfig(nx, ny, bc, 1.0)
     enum = enumerate_gauge_states(cfg)
     assert enum.n_reachable == count
-    assert enum.n_reachable == len(enumerate_basis(cfg))
+    assert enum.n_reachable == len(state_array(cfg, cfg.periodic))
     assert set(enum.reachable) <= set(enum.gauss_states)
     if bc is P:
         # winding sectors: strictly more Gauss states than reachable ones
