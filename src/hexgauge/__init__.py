@@ -19,12 +19,10 @@ from .hamiltonian import (
     build_closed,
     build_hamiltonian,
     build_periodic,
-    c_value,
     h_plus,
     h_plusplus,
     h_x,
     j_zz,
-    magnetic_coefficient,
 )
 from .observables import (
     Spectrum,
@@ -32,8 +30,6 @@ from .observables import (
     diagonalize,
     evolve,
     level_spacing_ratios,
-    wilson1_apply,
-    wilson2_apply,
 )
 from .oracle import certify_isomorphism, enumerate_gauge_states, ks_hamiltonian, wigner_6j
 from .momentum import hamiltonian_block, hx_block, hzz_block, wilson1_block, wilson2_block

@@ -112,17 +112,6 @@ def pauli_expand(c: tuple[int, int], cfg: LatticeConfig) -> list[PauliTerm]:
     return terms
 
 
-def evaluate_expansion(terms: list[PauliTerm], s: int) -> float:
-    """Diagonal value of the z-part of the expansion on spin word s."""
-    total = 0.0
-    for term in terms:
-        z = 1
-        for q in term.z_sites:
-            z *= 2 * ((s >> q) & 1) - 1
-        total += term.coefficient * z
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Circuits
 # ---------------------------------------------------------------------------

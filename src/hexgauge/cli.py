@@ -123,18 +123,19 @@ def cmd_spectrum(args) -> int:
 
 def cmd_basis(args) -> int:
     cfg = _load_config(args)
-    states = state_array(cfg, cfg.periodic).tolist()
+    # the basis is 0 .. dim-1 (state_array), so the words come from a range
+    dim = len(state_array(cfg, cfg.periodic))
     path = args.out + ".basis.json"
     with open(path, "w") as f:
         json.dump(
-            {"config": cfg.to_dict(), "dim": len(states), "states_hex": [format(s, "x") for s in states]},
+            {"config": cfg.to_dict(), "dim": dim, "states_hex": [format(s, "x") for s in range(dim)]},
             f,
             indent=2,
             sort_keys=True,
         )
         f.write("\n")
     _write_manifest(args.out, cfg, sys.argv[1:], [path], args.config)
-    print(f"{len(states)} basis states -> {path}")
+    print(f"{dim} basis states -> {path}")
     return 0
 
 

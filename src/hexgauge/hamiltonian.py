@@ -12,10 +12,13 @@ built directly on the global-flip quotient basis.  The exponent c counts
 up->down transitions around the six-neighbor chain and is invariant under
 the global flip, which is what makes the quotient construction consistent.
 
-One array kernel, flip_exponent, computes c over a whole state array for
-any cyclic chain; bond_diagonal does the same for the diagonal.  A single
+The flip term is minus the one-plaquette Wilson loop summed over
+plaquettes, H_x = -h_x sum_p O_1(p).  One array kernel, flip_action, gives
+the (flip mask, amplitude) of O_1 or O_2 over a whole state array from
+flip_exponent's c; bond_diagonal does the same for the diagonal.  A single
 assembler builds the closed-full, periodic-quotient and periodic-full
-bases from them.
+bases from them, and the Wilson operators and momentum blocks use the
+same kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .lattice import BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6
+from .lattice import BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6, neighbor_chain8
 from .spinbasis import fold, state_array
 
 SQRT3 = math.sqrt(3.0)
@@ -83,8 +86,10 @@ class SparseOperator:
         return self.matrix.toarray()
 
     def export_mtx(self, path: str):
-        """MatrixMarket coordinate export (symmetric real)."""
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field="real", symmetry="symmetric")
+        """MatrixMarket coordinate export: symmetric real, or Hermitian
+        complex for a complex matrix such as a k != 0 sector block."""
+        field, symmetry = ("complex", "hermitian") if np.iscomplexobj(self.matrix) else ("real", "symmetric")
+        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field=field, symmetry=symmetry)
 
 
 def _triplets_csr(rows, cols, vals, shape) -> scipy.sparse.csr_matrix:
@@ -118,11 +123,38 @@ def flip_exponent(states: np.ndarray, chain) -> np.ndarray:
     return c
 
 
+# -(-1/2)^c, O_1's coefficient; c is at most half the chain length (4)
+_O1_COEFF = -((-0.5) ** np.arange(5))
+
+
+def flip_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eight: bool):
+    """(flip mask, amplitude per state) of O_1 at c (eight=False) or of O_2
+    on the pair c, c+(0,1) (eight=True): the one kernel behind every flip
+    operator.
+
+    O_1: -(-1/2)^c times the flip of plaquette c.  O_2: -(-1/2)^c8
+    (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with c8 counted
+    around the eight-plaquette chain.  The magnetic term of H is
+    H_x = -h_x sum_p O_1(p).
+    """
+    i, j = c
+    if not cfg.in_range(i, j):
+        raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
+    here = cfg.site(i, j)
+    if not eight:
+        return 1 << here, _O1_COEFF[flip_exponent(states, chain_table(cfg)[here])]
+    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
+    above = cfg.site(i, (j + 1) % cfg.ny)
+    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
+    amp = _O1_COEFF[flip_exponent(states, chain)] * (1.0 + 3.0 * z0z1) / 4.0
+    return (1 << here) ^ (1 << above), amp
+
+
 def bond_diagonal(states: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
     """Bond part of the diagonal for every state of an int64 array.
 
     Periodic BC: the integer sum of z_p z_q over all bond keys.  Closed BC:
-    closed_diagonal, h_plus * n_up - h_pp * (up-up bond count).
+    h_plus * n_up - h_pp * (up-up bond count).
     """
     total = np.zeros(states.shape, dtype=np.int64)
     for p, _, q in bonds(cfg):
@@ -140,38 +172,6 @@ def flipped(states: np.ndarray, mask: int, cfg: LatticeConfig, quotient: bool) -
     smaller member of the global-flip pair."""
     t = states ^ mask
     return fold(t, cfg) if quotient else t
-
-
-def c_value(s: int, c: tuple[int, int], cfg: LatticeConfig) -> int:
-    """Count of chain positions K with neighbor K up and K+1 (mod 6) down.
-
-    Scalar reference for flip_exponent.
-    """
-    b = [0 if q < 0 else (s >> q) & 1 for q in chain_table(cfg)[cfg.site(*c)]]
-    return sum(b[k] & (1 - b[(k + 1) % 6]) for k in range(6))
-
-
-def magnetic_coefficient(s: int, c: tuple[int, int], cfg: LatticeConfig) -> float:
-    """(-1/2)^c, the plaquette-flip matrix element at c on state s."""
-    return (-0.5) ** c_value(s, c, cfg)
-
-
-def _up_pair_count(s: int, bond_list) -> int:
-    total = 0
-    for p, _, q in bond_list:
-        if q >= 0 and (s >> p) & 1 and (s >> q) & 1:
-            total += 1
-    return total
-
-
-def closed_diagonal(s: int, cfg: LatticeConfig, bond_list=None) -> float:
-    """h_plus * n_up - h_pp * (up-up bond count), the closed-BC diagonal.
-
-    Scalar reference for bond_diagonal.
-    """
-    if bond_list is None:
-        bond_list = bonds(cfg)
-    return h_plus(cfg.lam) * s.bit_count() - h_plusplus(cfg.lam) * _up_pair_count(s, bond_list)
 
 
 def build_closed(cfg: LatticeConfig) -> SparseOperator:
@@ -217,9 +217,9 @@ def _require_nondegenerate(cfg: LatticeConfig):
 def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     """H on the flip quotient or on all 2^N states.
 
-    Column s holds the diagonal and, for every plaquette p, h_x (-1/2)^c at
-    row s ^ (1 << p).  The quotient stores every diagonal entry, zeros
-    included; the full bases drop zero diagonals.
+    Column s holds the diagonal and, for every plaquette p, -h_x times
+    O_1(p)'s amplitude at row s ^ (1 << p).  The quotient stores every
+    diagonal entry, zeros included; the full bases drop zero diagonals.
     """
     lam = cfg.lam
     states = state_array(cfg, quotient)
@@ -227,12 +227,12 @@ def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     if cfg.periodic:
         diag = j_zz(lam) * diag
     keep = states if quotient else np.flatnonzero(diag)
-    # h_x (-1/2)^c by table lookup; an array power costs more than the kernel
-    powers = h_x(lam) * (-0.5) ** np.arange(7)
     rows, cols, vals = [keep], [keep], [diag[keep]]
-    for p, chain in enumerate(chain_table(cfg)):
-        rows.append(flipped(states, 1 << p, cfg, quotient))
+    for p in range(cfg.n_plaq):
+        mask, amp = flip_action(cfg, states, cfg.coord(p), eight=False)
+        amp *= -h_x(lam)
+        rows.append(flipped(states, mask, cfg, quotient))
         cols.append(states)
-        vals.append(powers[flip_exponent(states, chain)])
+        vals.append(amp)
     dim = len(states)
     return SparseOperator(_triplets_csr(rows, cols, vals, (dim, dim)), cfg, basis_label(cfg, quotient))

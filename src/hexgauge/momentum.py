@@ -5,26 +5,21 @@ A plaquette flip maps a representative |a> onto a translate of another
 representative |b>; the translation offset (l_i, l_j) enters as a phase
 exp(-i k.l) and the norm ratio sqrt(N_b/N_a) restores unit normalization.
 All phases are assembled from reduced rational angles so they are exact
-roots of unity.
+roots of unity.  One flip loop fills every off-diagonal block: the Wilson
+loops at the origin, and the magnetic block through H_x = -sum_p O_1(p).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 import scipy.sparse
 
-from .hamiltonian import (SparseOperator, _triplets_csr, basis_label, bond_diagonal, chain_table,
-                          flip_exponent, h_x, j_zz)
+from .hamiltonian import SparseOperator, _triplets_csr, basis_label, bond_diagonal, flip_action, h_x, j_zz
 from .lattice import LatticeConfig
-from .observables import diagonalize, wilson_action
-from .spinbasis import MomentumSector, fold, momentum_numerator, momentum_phase, translate
-
-# Bracket factor constants of the Pauli-product magnetic form.
-ALPHA = 0.5 - 0.5j / math.sqrt(2.0)
-BETA = 0.5 + 0.5j / math.sqrt(2.0)
+from .observables import diagonalize
+from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, translate
 
 
 def _roots(den: int) -> np.ndarray:
@@ -61,19 +56,9 @@ def hzz_block(sector: MomentumSector) -> SparseOperator:
 
 
 def hx_block(sector: MomentumSector) -> SparseOperator:
-    """Magnetic block: flip, relocate to the target representative, weight
-    by exp(-i k.l) * (-1/2)^c * sqrt(N_b/N_a)."""
-    cfg = sector.cfg
-    roots = _roots(cfg.n_plaq)
-    reps, cols = sector.reps, np.arange(sector.dim)
-    triplets = ([], [], [])
-    for p, chain in enumerate(chain_table(cfg)):
-        row, hit, nb, (lx, ly) = _targets(sector, reps ^ (1 << p))
-        phase = roots[-momentum_numerator(cfg, sector.nx_q, sector.ny_q, lx, ly) % cfg.n_plaq]
-        vals = phase * (-0.5) ** flip_exponent(reps, chain) * np.sqrt(nb / sector.norms)
-        for part, x in zip(triplets, (row, cols, vals)):
-            part.append(x[hit])
-    return _operator(sector, _triplets_csr(*triplets, (sector.dim, sector.dim)))
+    """Magnetic block, H_x = -sum_p O_1(p): the translation sum of the
+    (k, k) O_1 block with overall sign -1 in place of 1/(nx*ny)."""
+    return _operator(sector, _flip_block(sector, sector, eight=False, denom=-1))
 
 
 def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
@@ -86,16 +71,6 @@ def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
     return _operator(sector, m)
 
 
-def _bracket(s: int, sites: list[int]) -> complex:
-    """Product of (alpha * z_K z_{K+1} + beta) around a cyclic chain."""
-    z = [2 * ((s >> q) & 1) - 1 for q in sites]
-    n = len(z)
-    prod = 1 + 0j
-    for k in range(n):
-        prod *= ALPHA * z[k] * z[(k + 1) % n] + BETA
-    return prod
-
-
 def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:
     """<b(k')| O_1 |a(k)> for the single-plaquette loop at the origin.
 
@@ -103,15 +78,20 @@ def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.spa
     phi = (k'-k).r - k'.l and the flip coefficient evaluated on the
     untranslated representative at the plaquette (-r_x, -r_y).
     """
-    return _wilson_block(sector, sector_p, eight=False)
+    return _flip_block(sector, sector_p, eight=False, denom=sector.cfg.n_plaq)
 
 
 def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:
     """<b(k')| O_2 |a(k)> for the two-plaquette loop at (0,0),(0,1)."""
-    return _wilson_block(sector, sector_p, eight=True)
+    return _flip_block(sector, sector_p, eight=True, denom=sector.cfg.n_plaq)
 
 
-def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool) -> scipy.sparse.csr_matrix:
+def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
+                denom: int) -> scipy.sparse.csr_matrix:
+    """The one flip loop of the sector blocks: for every translation r,
+    flip_action at plaquette -r on the representatives, relocated to
+    sector_p's representatives with phase exp(i phi) and weight
+    sqrt(N_b/N_a), and the sum divided by denom."""
     cfg = sector.cfg
     if sector_p.cfg != cfg:
         raise ValueError("sectors belong to different lattices")
@@ -120,7 +100,7 @@ def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool)
     triplets = ([], [], [])
     for ry in range(cfg.ny):
         for rx in range(cfg.nx):
-            mask, amp = wilson_action(cfg, reps, ((-rx) % cfg.nx, (-ry) % cfg.ny), eight)
+            mask, amp = flip_action(cfg, reps, ((-rx) % cfg.nx, (-ry) % cfg.ny), eight)
             row, hit, nb, (lx, ly) = _targets(sector_p, reps ^ mask)
             # phi/(2 pi) with common denominator nx*ny
             num = (
@@ -128,7 +108,7 @@ def _wilson_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool)
                 - momentum_numerator(cfg, sector.nx_q, sector.ny_q, rx, ry)
                 - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
             )
-            vals = np.sqrt(nb / sector.norms) / cfg.n_plaq * roots[num % cfg.n_plaq] * amp
+            vals = np.sqrt(nb / sector.norms) / denom * roots[num % cfg.n_plaq] * amp
             for part, x in zip(triplets, (row, cols, vals)):
                 part.append(x[hit])
     return _triplets_csr(*triplets, (sector_p.dim, sector.dim))
@@ -154,8 +134,6 @@ def momentum_transform(sector: MomentumSector) -> np.ndarray:
 
 def sector_spectra(cfg: LatticeConfig) -> list[tuple[int, int, np.ndarray]]:
     """(nx_q, ny_q, ascending eigenvalues) for every momentum sector."""
-    from .spinbasis import all_sectors
-
     out = []
     for sector in all_sectors(cfg):
         vals = diagonalize(hamiltonian_block(sector), vectors=False).eigenvalues

@@ -15,12 +15,13 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hamiltonian import SparseOperator, _triplets_csr, basis_label, flip_exponent, flipped
-from .lattice import LatticeConfig, chain_sites, neighbor_chain6, neighbor_chain8
+from .hamiltonian import SparseOperator, _triplets_csr, basis_label, flip_action, flipped
+from .lattice import LatticeConfig
 from .spinbasis import fold, state_array
 
 RESIDUAL_TOL = 1e-8
-DENSE_MAX_DIM = 1 << 16
+# Bytes a dense solve may take: a quarter of an 8 GB machine.
+DENSE_MAX_BYTES = 1 << 31
 
 
 @dataclass
@@ -85,14 +86,20 @@ class Spectrum:
 def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: bool = True) -> Spectrum:
     """Eigenvalues (ascending) of a Hermitian operator.
 
-    mode "full": dense diagonalization, allowed up to dim 2^16.
+    mode "full": dense diagonalization, allowed while its estimated peak
+    memory stays within DENSE_MAX_BYTES.
     mode "lowest": k extremal (smallest-algebraic) eigenpairs, iterative,
     with 1 <= k < dim and a fixed pseudo-random start vector, so repeated
     solves return the same eigenvalues.
     """
     if mode == "full":
-        if op.dim > DENSE_MAX_DIM:
-            raise ValueError(f"dimension {op.dim} too large for full diagonalization")
+        # numpy's eigvalsh peaks near 2.4 dense copies (the matrix and
+        # LAPACK's working copy), eigh near 5.6 (eigenvectors and workspace)
+        need = op.dim**2 * op.matrix.dtype.itemsize * (6 if vectors else 3)
+        if need > DENSE_MAX_BYTES:
+            raise ValueError(f"full diagonalization of dimension {op.dim} needs about {need} bytes "
+                             f"({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense budget; "
+                             "use mode='lowest'")
         if vectors:
             vals, vecs = np.linalg.eigh(op.to_dense())
         else:
@@ -126,46 +133,10 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
 # Wilson loops in real space
 # ---------------------------------------------------------------------------
 
-def _apply(matrix, psi, cfg: LatticeConfig) -> StateVector:
-    if not isinstance(psi, StateVector):
-        psi = basis_state(cfg, int(psi))
-    return StateVector(matrix @ psi.amplitudes, psi.label)
-
-
-def wilson1_apply(psi, c: tuple[int, int], cfg: LatticeConfig) -> StateVector:
-    """O_1 at c applied to a basis state (int) or StateVector."""
-    return _apply(wilson1_operator(cfg, c), psi, cfg)
-
-
-def wilson2_apply(psi, c: tuple[int, int], cfg: LatticeConfig) -> StateVector:
-    """O_2 on the pair c, c+(0,1) applied to a basis state or StateVector."""
-    return _apply(wilson2_operator(cfg, c), psi, cfg)
-
-
-def wilson_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eight: bool):
-    """(flip mask, amplitude per state) of O_1 at c (eight=False) or of O_2
-    on the pair c, c+(0,1) (eight=True).
-
-    O_1: -(-1/2)^c times the flip of plaquette c.  O_2: -(-1/2)^c8
-    (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with c8 counted
-    around the eight-plaquette chain.
-    """
-    i, j = c
-    here = cfg.site(i, j)
-    if not eight:
-        chain = chain_sites(neighbor_chain6(c, cfg), cfg)
-        return 1 << here, -((-0.5) ** flip_exponent(states, chain))
-    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
-    above = cfg.site(i, (j + 1) % cfg.ny)
-    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
-    amp = -((-0.5) ** flip_exponent(states, chain)) * (1.0 + 3.0 * z0z1) / 4.0
-    return (1 << here) ^ (1 << above), amp
-
-
 def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> scipy.sparse.csr_matrix:
     """amp[s] at row |s ^ mask>, column s, over the working basis."""
     states = state_array(cfg, cfg.periodic)
-    mask, amp = wilson_action(cfg, states, c, eight)
+    mask, amp = flip_action(cfg, states, c, eight)
     rows = flipped(states, mask, cfg, cfg.periodic)
     dim = len(states)
     return _triplets_csr([rows], [states], [amp], (dim, dim))

