@@ -94,8 +94,7 @@ def cmd_spectrum(args) -> int:
     outputs = []
     if args.sectors:
         if not cfg.periodic:
-            print("--sectors requires periodic BC", file=sys.stderr)
-            return 2
+            raise ValueError("--sectors requires periodic BC")
         path = args.out + ".sectors.csv"
         with open(path, "w") as f:
             f.write("nx_q,ny_q,index,eigenvalue\n")
@@ -142,8 +141,7 @@ def cmd_basis(args) -> int:
 def cmd_sectors(args) -> int:
     cfg = _load_config(args)
     if not cfg.periodic:
-        print("sectors require periodic BC", file=sys.stderr)
-        return 2
+        raise ValueError("sectors require periodic BC")
     dump = [s.to_dict() for s in all_sectors(cfg)]
     path = args.out + ".sectors.json"
     with open(path, "w") as f:
@@ -184,8 +182,7 @@ def cmd_wilson(args) -> int:
     outputs.append(path)
     if args.blocks:
         if not cfg.periodic:
-            print("--blocks requires periodic BC", file=sys.stderr)
-            return 2
+            raise ValueError("--blocks requires periodic BC")
         ka = build_sector(cfg, *args.sector)
         kb = build_sector(cfg, *args.sector_prime)
         for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):
@@ -293,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input or an over-budget size: one line, no traceback
+        print(f"hexgauge {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

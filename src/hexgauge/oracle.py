@@ -15,10 +15,12 @@ configurations form a GF(2) null space which is enumerated exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import scipy.sparse
@@ -131,20 +133,14 @@ def vertex_element(J_a, J_b, j_a, j_b, j_x) -> complex:
     return phase * mag
 
 
-def _toggle(j: Fraction) -> Fraction:
-    return HALF - j
-
-
 def vertex_factor_table() -> dict[tuple[int, int, int], complex]:
     """M_V for every truncated vertex transition, keyed by the initial
     (j_a, j_x, j_b) edge bits (1 means j = 1/2).  Both internal links
     toggle; the external link is a spectator."""
     table = {}
-    for a in (0, 1):
-        for x in (0, 1):
-            for b in (0, 1):
-                ja, jx, jb = HALF * a, HALF * x, HALF * b
-                table[(a, x, b)] = vertex_element(_toggle(ja), _toggle(jb), ja, jb, jx)
+    for a, x, b in itertools.product((0, 1), repeat=3):
+        ja, jx, jb = HALF * a, HALF * x, HALF * b
+        table[(a, x, b)] = vertex_element(HALF - ja, HALF - jb, ja, jb, jx)
     return table
 
 
@@ -164,8 +160,6 @@ _X_SLOT = (((0, 1), 2), ((1, -1), 0), ((0, -1), 1), ((-1, 0), 2), ((-1, 0), 0), 
 class GaugeGeometry:
     """Edge index and vertex structure for one lattice."""
 
-    cfg: LatticeConfig
-    edges: list[tuple[int, int, int]] = field(default_factory=list)  # (i, j, dir)
     index: dict[tuple[int, int, int], int] = field(default_factory=dict)
     hex_edges: list[list[int]] = field(default_factory=list)  # 6 edge ids per plaquette
     hex_x: list[list[int]] = field(default_factory=list)  # 6 external ids (-1 = fixed 0)
@@ -173,7 +167,7 @@ class GaugeGeometry:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.index)
 
 
 def _edge_key(cfg: LatticeConfig, i: int, j: int, d: int):
@@ -183,62 +177,41 @@ def _edge_key(cfg: LatticeConfig, i: int, j: int, d: int):
 
 
 def build_geometry(cfg: LatticeConfig) -> GaugeGeometry:
-    geo = GaugeGeometry(cfg)
-
-    def edge_id(key, register: bool) -> int:
-        if key in geo.index:
-            return geo.index[key]
-        if not register:
-            return -1
-        geo.index[key] = len(geo.edges)
-        geo.edges.append(key)
-        return geo.index[key]
-
+    geo = GaugeGeometry()
+    cells = [(i, j) for j in range(cfg.ny) for i in range(cfg.nx)]
     # First pass registers every dynamical edge (edges of in-lattice
     # hexagons); the scan order fixes the edge numbering.
-    for j in range(cfg.ny):
-        for i in range(cfg.nx):
-            ids = []
-            for (di, dj), d in _EDGE_SLOT:
-                ids.append(edge_id(_edge_key(cfg, i + di, j + dj, d), register=True))
-            geo.hex_edges.append(ids)
-            mask = 0
-            for e in ids:
-                mask ^= 1 << e  # XOR: a doubly-traversed link does not toggle
-            geo.hexmasks.append(mask)
+    for i, j in cells:
+        ids = [geo.index.setdefault(_edge_key(cfg, i + di, j + dj, d), len(geo.index))
+               for (di, dj), d in _EDGE_SLOT]
+        geo.hex_edges.append(ids)
+        mask = 0
+        for e in ids:
+            mask ^= 1 << e  # XOR: a doubly-traversed link does not toggle
+        geo.hexmasks.append(mask)
     # Second pass resolves external links; keys never seen above belong to
     # two outside hexagons and are fixed j = 0 (closed BC only).
-    for j in range(cfg.ny):
-        for i in range(cfg.nx):
-            xs = []
-            for (di, dj), d in _X_SLOT:
-                xs.append(edge_id(_edge_key(cfg, i + di, j + dj, d), register=False))
-            geo.hex_x.append(xs)
+    for i, j in cells:
+        geo.hex_x.append([geo.index.get(_edge_key(cfg, i + di, j + dj, d), -1)
+                          for (di, dj), d in _X_SLOT])
     return geo
 
 
 def vertex_constraints(geo: GaugeGeometry) -> list[int]:
     """Gauss parity checks as bitmasks over edge ids, deduplicated."""
-    rows = []
-    seen = set()
-    for p in range(geo.cfg.n_plaq):
-        es = geo.hex_edges[p]
-        xs = geo.hex_x[p]
+    rows = {}
+    for es, xs in zip(geo.hex_edges, geo.hex_x):
         for k in range(6):
-            members = frozenset(e for e in (es[k], es[(k + 1) % 6], xs[k]) if e >= 0)
-            if members in seen:
-                continue
-            seen.add(members)
-            mask = 0
-            for e in members:
-                mask ^= 1 << e
+            mask = sum(1 << e for e in {es[k], es[(k + 1) % 6], xs[k]} if e >= 0)
             if mask:
-                rows.append(mask)
-    return rows
+                rows[mask] = None
+    return list(rows)
 
 
-def _gf2_nullspace(rows: list[int], n_vars: int) -> list[int]:
-    """Basis of the GF(2) null space of the parity-check rows."""
+def _gf2_nullspace(rows: list[int], n_vars: int) -> tuple[list[int], list[int]]:
+    """Basis of the GF(2) null space of the parity-check rows, and its free
+    columns: basis[i] is the one vector with bit free[i] set and no other
+    free bit, so a null-space vector's coordinates are its free bits."""
     pivots: dict[int, int] = {}
     for row in rows:
         r = row
@@ -255,10 +228,8 @@ def _gf2_nullspace(rows: list[int], n_vars: int) -> list[int]:
         for other in pivots:
             if other != lead and (pivots[other] >> lead) & 1:
                 pivots[other] ^= pivots[lead]
-    basis = []
-    for f in range(n_vars):
-        if f in pivots:
-            continue
+    basis, free = [], [f for f in range(n_vars) if f not in pivots]
+    for f in free:
         vec = 1 << f
         for lead, row in pivots.items():
             if (row >> f) & 1:
@@ -269,57 +240,74 @@ def _gf2_nullspace(rows: list[int], n_vars: int) -> list[int]:
         for row in rows:
             if (vec & row).bit_count() % 2:
                 raise RuntimeError(f"null-space vector {vec:#x} violates check row {row:#x}")
-    return basis
+    return basis, free
 
 
 @dataclass
 class GaugeEnumeration:
+    """Gauss-law configurations in null-space coordinates.
+
+    A config is an int64 x: the XOR of basis[i] over the set bits of x, so
+    every x < n_gauss is a Gauss-law state, and its link l carries j = 1/2
+    when x & link_rows[l] has odd parity.  toggles[p] holds the coordinates
+    of plaquette p's hexmask; reachable is their span, ascending.
+    """
+
     geo: GaugeGeometry
-    gauss_states: list[int]
-    reachable: list[int]
-    reachable_index: dict[int, int]
+    basis: list[int]
+    link_rows: np.ndarray
+    toggles: np.ndarray
+    reachable: np.ndarray
 
     @property
     def n_gauss(self) -> int:
-        return len(self.gauss_states)
+        return 1 << len(self.basis)
 
     @property
     def n_reachable(self) -> int:
         return len(self.reachable)
+
+    def link(self, configs: np.ndarray, l: int) -> np.ndarray:
+        """Bit l of each config's link word (int64 0/1); l = -1 reads the
+        trailing 0 row, the fixed j = 0 of an outside link."""
+        return (np.bitwise_count(configs & self.link_rows[l]) & 1).astype(np.int64)
+
+    def position(self, configs) -> np.ndarray:
+        """Index of each config in reachable; raises if one is not there."""
+        pos = np.searchsorted(self.reachable, configs)
+        if not np.array_equal(self.reachable[np.minimum(pos, self.n_reachable - 1)], configs):
+            raise ValueError("config outside the vacuum-connected set")
+        return pos
 
 
 def enumerate_gauge_states(cfg: LatticeConfig) -> GaugeEnumeration:
     """All Gauss-law configurations plus the vacuum-connected subset.
 
     The full set is the GF(2) null space of the vertex parity checks; the
-    reachable subset is its closure under single-plaquette toggles starting
-    from the vacuum (breadth-first).
+    reachable subset is the span of the single-plaquette toggles, built by
+    doubling from the vacuum.
     """
-    if cfg.n_plaq > 14:
-        raise ValueError("gauge enumeration capped at 14 plaquettes")
     geo = build_geometry(cfg)
     rows = vertex_constraints(geo)
-    basis = _gf2_nullspace(rows, geo.n_edges)
+    basis, free = _gf2_nullspace(rows, geo.n_edges)
     if len(basis) > 24:
         raise ValueError(f"gauge null space too large to enumerate ({len(basis)} generators)")
-    states = [0]
-    for vec in basis:
-        states += [s ^ vec for s in states]
-    states.sort()
-
-    frontier = [0]
-    reachable = {0}
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for mask in geo.hexmasks:
-                t = g ^ mask
-                if t not in reachable:
-                    reachable.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    reach = sorted(reachable)
-    return GaugeEnumeration(geo, states, reach, {g: k for k, g in enumerate(reach)})
+    for p, mask in enumerate(geo.hexmasks):
+        if any((mask & row).bit_count() % 2 for row in rows):
+            raise RuntimeError(f"plaquette {p} toggle violates Gauss's law")
+    link_rows = np.array(
+        [sum(1 << i for i, vec in enumerate(basis) if (vec >> l) & 1) for l in range(geo.n_edges)] + [0],
+        dtype=np.int64,
+    )
+    toggles = np.array(
+        [sum(((mask >> f) & 1) << i for i, f in enumerate(free)) for mask in geo.hexmasks],
+        dtype=np.int64,
+    )
+    reachable = np.zeros(1, dtype=np.int64)
+    for t in toggles:
+        if t not in reachable:  # a toggle inside the span maps it onto itself
+            reachable = np.sort(np.concatenate([reachable, reachable ^ t]))
+    return GaugeEnumeration(geo, basis, link_rows, toggles, reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +324,47 @@ def magnetic_coupling(lam: float) -> float:
     return 4.0 * math.sqrt(3.0) / (9.0 * lam)
 
 
-def plaquette_element(geo: GaugeGeometry, table, config: int, p: int) -> float:
-    """<config XOR hexmask | plaquette_p | config> as a product of the six
-    vertex factors; raises unless the product is real and the B->C and C->B
-    vertices pair up."""
-    es = geo.hex_edges[p]
-    xs = geo.hex_x[p]
-    prod = 1 + 0j
-    n_bc = n_cb = 0
-    for k in range(6):
-        a = (config >> es[k]) & 1
-        b = (config >> es[(k + 1) % 6]) & 1
-        x = 0 if xs[k] < 0 else (config >> xs[k]) & 1
-        f = table[(a, x, b)]
-        if f == 0:
-            raise ValueError(f"plaquette {p} hit a Gauss-violating vertex on config {config:#x}")
-        if x == 1:
-            if a == 1:
-                n_bc += 1  # (1/2, 1/2, 0) is a B -> C transition
-            else:
-                n_cb += 1
-        prod *= f
-    if n_bc != n_cb:
-        raise RuntimeError(f"unbalanced B->C / C->B vertex counts on plaquette {p}")
-    if abs(prod.imag) >= 1e-12:
-        raise RuntimeError(f"plaquette element not real: {prod}")
-    return prod.real
+@cache
+def plaquette_table() -> np.ndarray:
+    """The plaquette element for every local pattern of a hexagon's links.
+
+    Bit k of the index is its edge K = k and bit 6 + k its external link at
+    vertex k; the value is the product of the six vertex factors, NaN where
+    a vertex violates Gauss's law.  Raises unless every allowed product is
+    real and its B->C and C->B vertices pair up.
+    """
+    factors = vertex_factor_table()
+    table = np.full(4096, np.nan)
+    for local in range(4096):
+        prod = 1 + 0j
+        n_bc = n_cb = 0
+        for k in range(6):
+            a, b, x = (local >> k) & 1, (local >> (k + 1) % 6) & 1, (local >> (6 + k)) & 1
+            prod *= factors[(a, x, b)]
+            n_bc += x & a  # (1/2, 1/2, 0) is a B -> C transition
+            n_cb += x & (1 - a)
+        if prod == 0:
+            continue
+        if n_bc != n_cb:
+            raise RuntimeError(f"unbalanced B->C / C->B vertex counts in local pattern {local:#x}")
+        if abs(prod.imag) >= 1e-12:
+            raise RuntimeError(f"plaquette element not real: {prod}")
+        table[local] = prod.real
+    table.flags.writeable = False
+    return table
+
+
+def plaquette_element(enum: GaugeEnumeration, configs: np.ndarray, p: int) -> np.ndarray:
+    """<config XOR hexmask | plaquette_p | config> for each config, gathered
+    from plaquette_table by the 12 local link bits."""
+    geo = enum.geo
+    local = np.zeros_like(configs)
+    for k, l in enumerate(geo.hex_edges[p] + geo.hex_x[p]):
+        local |= enum.link(configs, l) << k
+    values = plaquette_table()[local]
+    if np.isnan(values).any():
+        raise ValueError(f"plaquette {p} hit a Gauss-violating vertex")
+    return values
 
 
 def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
@@ -375,23 +378,19 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
 
     if enum is None:
         enum = enumerate_gauge_states(cfg)
-    geo = enum.geo
-    lam = cfg.lam
-    table = vertex_factor_table()
-    e_link = electric_link_energy(lam)
-    hmag = magnetic_coupling(lam)
-    n = len(enum.reachable)
-    rows, cols, vals = [], [], []
-    for col, g in enumerate(enum.reachable):
-        rows.append(col)
-        cols.append(col)
-        vals.append(e_link * g.bit_count() + 2.0 * cfg.n_plaq * hmag)
-        for p in range(cfg.n_plaq):
-            t = g ^ geo.hexmasks[p]
-            rows.append(enum.reachable_index[t])
-            cols.append(col)
-            vals.append(-hmag * plaquette_element(geo, table, g, p))
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    configs, n = enum.reachable, enum.n_reachable
+    hmag = magnetic_coupling(cfg.lam)
+    n_up = sum(enum.link(configs, l) for l in range(enum.geo.n_edges))
+    # column g holds the diagonal, then one entry per plaquette toggle
+    rows = np.empty((cfg.n_plaq + 1, n), dtype=np.int32)
+    vals = np.empty(rows.shape)
+    rows[0] = np.arange(n)
+    vals[0] = electric_link_energy(cfg.lam) * n_up + 2.0 * cfg.n_plaq * hmag
+    for p, t in enumerate(enum.toggles):
+        rows[p + 1] = enum.position(configs ^ t)
+        vals[p + 1] = -hmag * plaquette_element(enum, configs, p)
+    cols = np.tile(rows[0], len(rows))
+    mat = scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(n, n)).tocsr()
     mat.sort_indices()
     return SparseOperator(mat, cfg, "gauge-reachable")
 
@@ -449,21 +448,18 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")
     # Spin state s -> gauge config toggling its up plaquettes, built by
-    # doubling over the basis bits; its flip partner toggles the others.
-    configs = [0]
-    for mask in enum.geo.hexmasks[:dim.bit_length() - 1]:
-        configs += [g ^ mask for g in configs]
-    to_gauge = [enum.reachable_index[g] for g in configs]
-    if len(set(to_gauge)) != dim:
+    # doubling over the basis bits; under periodic BC its flip partner
+    # toggles the others, the same config when all toggles XOR to 0.
+    configs = np.zeros(1, dtype=np.int64)
+    for t in enum.toggles[:dim.bit_length() - 1]:
+        configs = np.concatenate([configs, configs ^ t])
+    perm = enum.position(configs)
+    if not np.array_equal(np.sort(perm), np.arange(dim)):
         raise ValueError("plaquette-toggle map is not a bijection")
-    if cfg.periodic:
-        full = configs[-1] ^ enum.geo.hexmasks[-1]  # dim - 1 toggles all but the last
-        for s, g in enumerate(configs):
-            if enum.reachable_index[g ^ full] != to_gauge[s]:
-                raise RuntimeError(f"flip pair of state {s:#x} maps to two configs")
+    if cfg.periodic and np.bitwise_xor.reduce(enum.toggles) != 0:
+        raise RuntimeError("flip pair of state 0x0 maps to two configs")
 
     a = spin.matrix
-    perm = np.asarray(to_gauge)
     b = ks_hamiltonian(cfg, enum).matrix[perm][:, perm]
 
     shift = float(np.mean(b.diagonal() - a.diagonal()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -41,16 +41,6 @@ def state_array(cfg: LatticeConfig, quotient: bool) -> np.ndarray:
     return np.arange(1 << (cfg.n_plaq - quotient), dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _translation_perm(nx: int, ny: int, rx: int, ry: int) -> tuple[int, ...]:
-    """perm[src_site] = destination site under a shift by (rx, ry)."""
-    perm = []
-    for j in range(ny):
-        for i in range(nx):
-            perm.append((i + rx) % nx + nx * ((j + ry) % ny))
-    return tuple(perm)
-
-
 def fold(states, cfg: LatticeConfig):
     """The smaller member of each global-flip pair, for an int or int64 array."""
     return np.minimum(states, states ^ full_mask(cfg))
@@ -64,11 +54,13 @@ def translate(s, rx: int, ry: int, cfg: LatticeConfig):
     """
     if not cfg.periodic:
         raise ValueError("translation is only defined for periodic BC")
-    perm = _translation_perm(cfg.nx, cfg.ny, rx % cfg.nx, ry % cfg.ny)
-    t = 0
-    for q, dest in enumerate(perm):
-        t |= ((s >> q) & 1) << dest
-    return t
+    nx, n, full = cfg.nx, cfg.n_plaq, full_mask(cfg)
+    rx, r = rx % nx, nx * (ry % cfg.ny)
+    # a y-shift rotates the word by whole rows; an x-shift rotates each row,
+    # the columns >= nx - rx wrapping round to the low columns lo
+    s = ((s << r) | (s >> (n - r))) & full
+    lo = sum(((1 << rx) - 1) << (nx * j) for j in range(cfg.ny))
+    return ((s << rx) & (full ^ lo)) | ((s >> (nx - rx)) & lo)
 
 
 @dataclass(eq=False)

@@ -28,7 +28,6 @@ from hexgauge.oracle import (
     ks_hamiltonian,
     plaquette_element,
     vertex_element,
-    vertex_factor_table,
 )
 from hexgauge.spinbasis import all_sectors, state_array
 
@@ -103,9 +102,9 @@ def test_criterion_3_coefficient_identities():
         # independently from oracle electric energies
         enum = enumerate_gauge_states(cfg)
         ks = ks_hamiltonian(cfg, enum)
-        gvac = enum.reachable_index[0]
-        g1 = enum.reachable_index[enum.geo.hexmasks[0]]
-        g2 = enum.reachable_index[enum.geo.hexmasks[0] ^ enum.geo.hexmasks[3]]
+        gvac = enum.position(0)
+        g1 = enum.position(enum.toggles[0])
+        g2 = enum.position(enum.toggles[0] ^ enum.toggles[3])
         worst = max(worst, abs(ks.matrix[g1, g1] - ks.matrix[gvac, gvac] - 27 * SQRT3 / 8 * lam))
         worst = max(worst, abs(ks.matrix[g2, g2] - ks.matrix[gvac, gvac] - 45 * SQRT3 / 8 * lam))
         worst = max(worst, abs(6 * electric_link_energy(lam) - h_plus(lam)))
@@ -121,17 +120,14 @@ def test_criterion_4_vertex_algebra():
     )
     assert exact
     # plaquette products real and symmetric on every oracle instance
-    table = vertex_factor_table()
     for nx, ny, bc in [(2, 2, P), (2, 3, P), (2, 3, C), (3, 3, C)]:
         cfg = LatticeConfig(nx, ny, bc, 1.0)
         enum = enumerate_gauge_states(cfg)
-        idx = enum.reachable_index
         n = enum.n_reachable
         plaq = np.zeros((n, n))
-        for col, g in enumerate(enum.reachable):
-            for p in range(cfg.n_plaq):
-                val = plaquette_element(enum.geo, table, g, p)  # asserts Im = 0
-                plaq[idx[g ^ enum.geo.hexmasks[p]], col] += val
+        for p, t in enumerate(enum.toggles):
+            val = plaquette_element(enum, enum.reachable, p)  # the table checks Im = 0
+            np.add.at(plaq, (enum.position(enum.reachable ^ t), np.arange(n)), val)
         assert np.array_equal(plaq, plaq.T)
     _report(4, True, "vertex elements exactly (-i, -i, -i, i/2); plaquette matrices real symmetric")
 

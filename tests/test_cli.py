@@ -129,3 +129,16 @@ def test_flag_overrides(tmp_path):
                  "--out", out]) == 0
     dump = json.loads((tmp_path / "o.basis.json").read_text())
     assert dump["dim"] == 2
+
+
+def test_errors_exit_cleanly(tmp_path, capsys):
+    # refused sizes and bad input print one line on stderr and exit with 2
+    out = str(tmp_path / "e")
+    for argv, words in [
+        (["spectrum", "--nx", "4", "--ny", "4"], "dense budget"),
+        (["evolve", "--state", "zz"], "'zz'"),
+        (["sectors", "--bc", "closed"], "periodic BC"),
+    ]:
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert words in err and "Traceback" not in err and err.count("\n") == 1

@@ -14,6 +14,7 @@ from hexgauge.oracle import (
     ks_hamiltonian,
     magnetic_coupling,
     plaquette_element,
+    plaquette_table,
     vertex_constraints,
     vertex_element,
     vertex_factor_table,
@@ -82,6 +83,44 @@ def test_vertex_table_gauss_selection():
         assert table[key] == 0j
 
 
+def test_plaquette_table_allowed_entries():
+    # finite exactly where every vertex is Gauss-allowed: x_k = a_k XOR a_k+1,
+    # 64 patterns; m B->C / C->B pairs give (-1)^(m+1) / 2^m
+    table = plaquette_table()
+    for local in range(4096):
+        a = [(local >> k) & 1 for k in range(6)]
+        x = [(local >> (6 + k)) & 1 for k in range(6)]
+        if all(x[k] == a[k] ^ a[(k + 1) % 6] for k in range(6)):
+            m = sum(x) // 2
+            assert table[local] == (-1) ** (m + 1) / 2**m
+        else:
+            assert np.isnan(table[local])
+    assert np.isfinite(table).sum() == 64
+
+
+def test_plaquette_element_rejects_gauss_violation():
+    # a corrupted link row makes plaquette 0's toggle read one edge as j = 0
+    enum = enumerate_gauge_states(LatticeConfig(2, 2, C, 1.0))
+    enum.link_rows = enum.link_rows.copy()
+    enum.link_rows[enum.geo.hex_edges[0][0]] = 0
+    with pytest.raises(ValueError, match="Gauss-violating"):
+        plaquette_element(enum, enum.toggles[:1], 0)
+
+
+def test_enumeration_rejects_non_gauss_toggle(monkeypatch):
+    # toggle coordinates are only defined for hexmasks inside the null space
+    import hexgauge.oracle as oracle
+
+    def corrupt(cfg):
+        geo = build_geometry(cfg)
+        geo.hexmasks[0] ^= 1
+        return geo
+
+    monkeypatch.setattr(oracle, "build_geometry", corrupt)
+    with pytest.raises(RuntimeError, match="violates Gauss"):
+        enumerate_gauge_states(LatticeConfig(2, 2, C, 1.0))
+
+
 def _brute_force_gauss(cfg):
     """Raw scan over all 2^E edge assignments, vectorized per constraint."""
     geo = build_geometry(cfg)
@@ -101,7 +140,10 @@ def test_gauss_set_matches_brute_force(nx, ny, bc):
     cfg = LatticeConfig(nx, ny, bc, 1.0)
     brute, _ = _brute_force_gauss(cfg)
     enum = enumerate_gauge_states(cfg)
-    assert enum.gauss_states == brute
+    words = [0]
+    for vec in enum.basis:
+        words += [w ^ vec for w in words]
+    assert sorted(words) == brute
 
 
 @pytest.mark.parametrize(
@@ -123,7 +165,7 @@ def test_reachable_counts(nx, ny, bc, count):
     enum = enumerate_gauge_states(cfg)
     assert enum.n_reachable == count
     assert enum.n_reachable == len(state_array(cfg, cfg.periodic))
-    assert set(enum.reachable) <= set(enum.gauss_states)
+    assert set(enum.reachable.tolist()) <= set(range(enum.n_gauss))
     if bc is P:
         # winding sectors: strictly more Gauss states than reachable ones
         assert enum.n_gauss == 4 * enum.n_reachable
@@ -133,7 +175,9 @@ def test_reachable_counts(nx, ny, bc, count):
 
 def test_vacuum_present_and_trivial():
     enum = enumerate_gauge_states(LatticeConfig(2, 2, P, 1.0))
-    assert 0 in enum.reachable and 0 in enum.gauss_states
+    assert 0 in enum.reachable and 0 < enum.n_gauss
+    vacuum = np.zeros(1, dtype=np.int64)
+    assert not any(enum.link(vacuum, l)[0] for l in range(enum.geo.n_edges))
 
 
 def test_even_external_parity():
@@ -142,26 +186,20 @@ def test_even_external_parity():
     for nx, ny, bc in [(2, 2, P), (2, 3, C)]:
         cfg = LatticeConfig(nx, ny, bc, 1.0)
         enum = enumerate_gauge_states(cfg)
-        for g in enum.reachable:
-            for p in range(cfg.n_plaq):
-                ext = sum(
-                    (g >> x) & 1 for x in enum.geo.hex_x[p] if x >= 0
-                )
-                assert ext % 2 == 0
+        for p in range(cfg.n_plaq):
+            ext = sum(enum.link(enum.reachable, x) for x in enum.geo.hex_x[p] if x >= 0)
+            assert np.all(ext % 2 == 0)
 
 
 def test_plaquette_matrix_real_symmetric():
     for nx, ny, bc in [(2, 2, P), (2, 3, C)]:
         cfg = LatticeConfig(nx, ny, bc, 1.0)
         enum = enumerate_gauge_states(cfg)
-        table = vertex_factor_table()
-        idx = enum.reachable_index
         n = enum.n_reachable
         plaq = np.zeros((n, n))
-        for col, g in enumerate(enum.reachable):
-            for p in range(cfg.n_plaq):
-                val = plaquette_element(enum.geo, table, g, p)  # asserts realness
-                plaq[idx[g ^ enum.geo.hexmasks[p]], col] += val
+        for p, t in enumerate(enum.toggles):
+            val = plaquette_element(enum, enum.reachable, p)  # the table checks realness
+            np.add.at(plaq, (enum.position(enum.reachable ^ t), np.arange(n)), val)
         assert np.array_equal(plaq, plaq.T)
 
 
@@ -170,11 +208,10 @@ def test_ks_diagonal_values():
     cfg = LatticeConfig(3, 3, C, lam)
     enum = enumerate_gauge_states(cfg)
     h = ks_hamiltonian(cfg, enum)
-    vac = enum.reachable_index[0]
+    vac = enum.position(0)
     assert h.matrix[vac, vac] == pytest.approx(2 * 9 * magnetic_coupling(lam), abs=1e-12)
     # single plaquette flip: six j=1/2 links
-    g1 = enum.geo.hexmasks[4]  # interior plaquette (1,1)
-    i1 = enum.reachable_index[g1]
+    i1 = enum.position(enum.toggles[4])  # interior plaquette (1,1)
     delta = h.matrix[i1, i1] - h.matrix[vac, vac]
     assert delta == pytest.approx(6 * electric_link_energy(lam), abs=1e-12)
     assert delta == pytest.approx(h_plus(lam), abs=1e-12)
@@ -192,8 +229,8 @@ def test_double_flip_electric_energy():
     g2 = enum.geo.hexmasks[0] ^ enum.geo.hexmasks[3]  # (0,0) and (0,1)
     assert g2.bit_count() == 10
     h = ks_hamiltonian(cfg, enum)
-    i2 = enum.reachable_index[g2]
-    vac = enum.reachable_index[0]
+    i2 = enum.position(enum.toggles[0] ^ enum.toggles[3])
+    vac = enum.position(0)
     delta = h.matrix[i2, i2] - h.matrix[vac, vac]
     assert delta == pytest.approx(10 * electric_link_energy(lam), abs=1e-12)
     assert delta == pytest.approx(45 * math.sqrt(3) / 8 * lam, abs=1e-12)
@@ -208,6 +245,8 @@ def test_double_flip_electric_energy():
         (2, 2, P, 1.0),
         (2, 3, P, 0.5),
         (2, 3, C, 1.0),
+        (4, 4, P, 1.0),
+        (3, 5, C, 1.0),
     ],
 )
 def test_certify(nx, ny, bc, lam):

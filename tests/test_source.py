@@ -42,6 +42,33 @@ def test_one_flip_kernel():
     assert inside >= 1 and len(calls) == inside, f"flip_exponent called outside flip_action: {calls}"
 
 
+def test_oracle_is_independent():
+    # the gauge oracle certifies the spin model, so it is not built from it:
+    # at module level it takes only lattice from hexgauge, and inside its
+    # functions only the operator type and the spin Hamiltonian under test
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    module_level = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.split(".")[0] == "hexgauge"]
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "hexgauge":
+                continue
+            module = module.removeprefix("hexgauge").lstrip(".")
+        names = {a.name for a in node.names}
+        if module == "lattice":
+            continue
+        if (module == "hamiltonian" and id(node) not in module_level
+                and names <= {"SparseOperator", "build_hamiltonian"}):
+            continue
+        found.append(f"{node.lineno} from {module or '.'} import {sorted(names)}")
+    assert not found, f"oracle.py imports beyond lattice and the spin Hamiltonian: {found}"
+
+
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return (getattr(func, "id", None) or getattr(func, "attr", None)) == name

@@ -164,7 +164,7 @@ def test_sector_rejects_degenerate_lattice():
         build_sector(LatticeConfig(2, 1, P, 1.0), 0, 0)
 
 
-@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
+@pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12 + [(4, 5)])
 def test_translate_array_matches_scalar(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
     states = state_array(cfg, quotient=False)
