@@ -166,6 +166,8 @@ def cmd_verify(args) -> int:
 
 def cmd_wilson(args) -> int:
     cfg = _load_config(args)
+    if args.blocks and not cfg.periodic:
+        raise ValueError("--blocks requires periodic BC")
     outputs = []
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest", k=1)
@@ -181,8 +183,6 @@ def cmd_wilson(args) -> int:
             f.write(f"o2_expectation,{_fmt(np.real(np.vdot(gs, o2 @ gs)))}\n")
     outputs.append(path)
     if args.blocks:
-        if not cfg.periodic:
-            raise ValueError("--blocks requires periodic BC")
         ka = build_sector(cfg, *args.sector)
         kb = build_sector(cfg, *args.sector_prime)
         for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):

@@ -41,9 +41,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amplitudes / self.norm(), self.label)
-
     def overlap(self, other: "StateVector") -> complex:
         self._check(other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -250,7 +250,9 @@ class GaugeEnumeration:
     A config is an int64 x: the XOR of basis[i] over the set bits of x, so
     every x < n_gauss is a Gauss-law state, and its link l carries j = 1/2
     when x & link_rows[l] has odd parity.  toggles[p] holds the coordinates
-    of plaquette p's hexmask; reachable is their span, ascending.
+    of plaquette p's hexmask; reachable is their span in spin order:
+    reachable[s] is the XOR of the independent toggles, in plaquette order,
+    over the set bits of s.
     """
 
     geo: GaugeGeometry
@@ -273,9 +275,20 @@ class GaugeEnumeration:
         return (np.bitwise_count(configs & self.link_rows[l]) & 1).astype(np.int64)
 
     def position(self, configs) -> np.ndarray:
-        """Index of each config in reachable; raises if one is not there."""
-        pos = np.searchsorted(self.reachable, configs)
-        if not np.array_equal(self.reachable[np.minimum(pos, self.n_reachable - 1)], configs):
+        """Index of each config in reachable; raises if one is not there.
+
+        Bit i is the parity against the dual row of gen_i = reachable[1 << i],
+        read off the null space of config = sum_i s_i gen_i: its free columns
+        are config bits, and s is linear in them.
+        """
+        k, gens = len(self.basis), self.reachable[1 << np.arange(self.n_reachable.bit_length() - 1)]
+        rows = [(1 << m) | sum(((int(g) >> m) & 1) << (k + i) for i, g in enumerate(gens)) for m in range(k)]
+        vecs, free = _gf2_nullspace(rows, k + len(gens))
+        pos = np.zeros_like(configs, dtype=np.int64)
+        for i in range(len(gens)):
+            dual = sum(((vec >> (k + i)) & 1) << f for vec, f in zip(vecs, free))
+            pos |= (np.bitwise_count(configs & dual) & 1).astype(np.int64) << i
+        if not np.array_equal(self.reachable[pos], configs):
             raise ValueError("config outside the vacuum-connected set")
         return pos
 
@@ -306,7 +319,7 @@ def enumerate_gauge_states(cfg: LatticeConfig) -> GaugeEnumeration:
     reachable = np.zeros(1, dtype=np.int64)
     for t in toggles:
         if t not in reachable:  # a toggle inside the span maps it onto itself
-            reachable = np.sort(np.concatenate([reachable, reachable ^ t]))
+            reachable = np.concatenate([reachable, reachable ^ t])
     return GaugeEnumeration(geo, basis, link_rows, toggles, reachable)
 
 
@@ -386,8 +399,9 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
     vals = np.empty(rows.shape)
     rows[0] = np.arange(n)
     vals[0] = electric_link_energy(cfg.lam) * n_up + 2.0 * cfg.n_plaq * hmag
-    for p, t in enumerate(enum.toggles):
-        rows[p + 1] = enum.position(configs ^ t)
+    # position is linear: toggling p takes index s to s ^ position(toggle p)
+    for p, moved in enumerate(enum.position(enum.toggles)):
+        rows[p + 1] = rows[0] ^ moved
         vals[p + 1] = -hmag * plaquette_element(enum, configs, p)
     cols = np.tile(rows[0], len(rows))
     mat = scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(n, n)).tocsr()
@@ -433,59 +447,46 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     Maps each spin basis state to the gauge config obtained by toggling its
     up plaquettes, then compares matrices entrywise allowing one uniform
     diagonal shift and a per-state sign gauge (fitted, expected trivial).
-    `perturbation` is a fault-injection hook: it is added to the first
-    off-diagonal spin matrix entry so tests can see a located failure.
+    `perturbation` is a fault-injection hook: it is added to the stored
+    (0, 1) entry of the spin matrix so tests can see a located failure.
     """
     from .hamiltonian import build_hamiltonian
 
     enum = enumerate_gauge_states(cfg)
     spin = build_hamiltonian(cfg)
     if perturbation:
-        m = spin.matrix.tolil()
-        m[0, 1] += perturbation
-        spin.matrix = m.tocsr()
+        spin.matrix[0, 1] += perturbation  # a stored entry: changed in place
     dim = spin.dim
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")
-    # Spin state s -> gauge config toggling its up plaquettes, built by
-    # doubling over the basis bits; under periodic BC its flip partner
-    # toggles the others, the same config when all toggles XOR to 0.
-    configs = np.zeros(1, dtype=np.int64)
-    for t in enum.toggles[:dim.bit_length() - 1]:
-        configs = np.concatenate([configs, configs ^ t])
-    perm = enum.position(configs)
-    if not np.array_equal(np.sort(perm), np.arange(dim)):
+    # Spin state s toggles its up plaquettes: reachable[s] when the first
+    # `bits` toggles are the coordinate axes.  Under periodic BC its flip
+    # partner toggles the others, the same config when all toggles XOR to 0.
+    bits = dim.bit_length() - 1
+    if not np.array_equal(enum.position(enum.toggles[:bits]), 1 << np.arange(bits)):
         raise ValueError("plaquette-toggle map is not a bijection")
     if cfg.periodic and np.bitwise_xor.reduce(enum.toggles) != 0:
         raise RuntimeError("flip pair of state 0x0 maps to two configs")
 
     a = spin.matrix
-    b = ks_hamiltonian(cfg, enum).matrix[perm][:, perm]
+    b = ks_hamiltonian(cfg, enum).matrix
 
     shift = float(np.mean(b.diagonal() - a.diagonal()))
 
-    # Per-state sign gauge, propagated over nonzero off-diagonals from the
-    # vacuum; with the +1 amplitude convention every sign comes out +1.
-    # build_hamiltonian's CSR is canonical (sorted, no duplicates), so row
-    # s's stored entries are its nonzeros in ascending column order.
-    indptr, indices, data = a.indptr, a.indices, a.data
-    b_at = np.asarray(b[np.repeat(np.arange(dim), np.diff(indptr)), indices]).ravel()
-    signs = np.zeros(dim)
-    signs[0] = 1.0
-    queue = [0]
-    while queue:
-        s = queue.pop()
-        lo, hi = indptr[s], indptr[s + 1]
-        for t, v, w in zip(indices[lo:hi].tolist(), data[lo:hi].tolist(), b_at[lo:hi].tolist()):
-            if t != s and signs[t] == 0 and abs(v) > 1e-9 and abs(w) > 1e-9:
-                signs[t] = signs[s] * math.copysign(1.0, v * w)
-                queue.append(t)
-    signs[signs == 0] = 1.0
+    # Per-state sign gauge (expected all +1), fitted along the tree joining s
+    # to s minus its top bit, one plaquette flip; the residual checks the rest.
+    signs = np.ones(dim)
+    for i in range(bits):
+        s = np.arange(1 << i, 2 << i)
+        edge = np.asarray(a[s, s - (1 << i)]).ravel() * np.asarray(b[s, s - (1 << i)]).ravel()
+        signs[s] = np.where(edge < 0, -1.0, 1.0) * signs[: 1 << i]
+    nontrivial = int(np.sum(signs < 0))
+    if nontrivial:  # b -> D b D in place
+        b.data *= np.repeat(signs, np.diff(b.indptr)) * signs[b.indices]
 
     # Stored entries of the canonical residual, in row-major order: argmax
     # picks the first worst entry, as over the dense array.
-    d = scipy.sparse.diags(signs)
-    resid = abs(d @ b @ d - a - shift * scipy.sparse.identity(dim))
+    resid = abs(b - a - shift * scipy.sparse.identity(dim))
     resid.sum_duplicates()
     max_dev = float(resid.data.max(initial=0.0))
     worst = None
@@ -501,5 +502,5 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
         max_deviation=max_dev,
         passed=bool(max_dev < TOL_CERT),
         worst_entry=worst,
-        nontrivial_signs=int(np.sum(signs < 0)),
+        nontrivial_signs=nontrivial,
     )

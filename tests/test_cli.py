@@ -123,6 +123,14 @@ def test_wilson_blocks(tmp_path):
     assert (tmp_path / "w.wilson.csv").exists()
 
 
+def test_wilson_blocks_closed_refused_before_work(tmp_path, capsys):
+    # the closed-BC refusal comes before the ground-state solve: no output
+    out = str(tmp_path / "w")
+    assert main(["wilson", "--nx", "2", "--ny", "2", "--bc", "closed", "--blocks", "--out", out]) == 2
+    assert "periodic BC" in capsys.readouterr().err
+    assert list(tmp_path.glob("w*")) == []
+
+
 def test_flag_overrides(tmp_path):
     out = str(tmp_path / "o")
     assert main(["basis", "--nx", "1", "--ny", "1", "--bc", "closed", "--lam", "1.0",

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hexgauge.hamiltonian as hamiltonian
+
 from hexgauge.hamiltonian import SparseOperator, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
 from hexgauge.oracle import (
@@ -173,6 +175,35 @@ def test_reachable_counts(nx, ny, bc, count):
         assert enum.n_gauss == enum.n_reachable
 
 
+@pytest.mark.parametrize(
+    "nx,ny,bc",
+    [(1, 1, C), (2, 3, C), (3, 3, C), (1, 4, C), (2, 1, P), (2, 2, P), (3, 3, P), (3, 4, P)],
+)
+def test_reachable_in_toggle_coordinates(nx, ny, bc):
+    # spin order is the only order: reachable[s] toggles the up plaquettes
+    # of spin state s, and position is its inverse
+    enum = enumerate_gauge_states(LatticeConfig(nx, ny, bc, 1.0))
+    s = np.arange(enum.n_reachable)
+    assert np.array_equal(enum.position(enum.reachable), s)
+    expect = np.zeros_like(s)
+    for i, t in enumerate(enum.toggles[:enum.n_reachable.bit_length() - 1]):
+        expect ^= np.where((s >> i) & 1, t, 0)
+    assert np.array_equal(enum.reachable, expect)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 1), (2, 2), (2, 3), (3, 4)])
+def test_position_rejects_winding_states(nx, ny):
+    # periodic BC: three of every four Gauss states wind around the torus
+    enum = enumerate_gauge_states(LatticeConfig(nx, ny, P, 1.0))
+    outside = np.setdiff1d(np.arange(enum.n_gauss), enum.reachable)
+    assert len(outside) == 3 * enum.n_reachable
+    for x in outside[:: max(1, len(outside) // 12)]:
+        with pytest.raises(ValueError, match="outside the vacuum-connected set"):
+            enum.position(np.array([x]))
+    with pytest.raises(ValueError, match="outside the vacuum-connected set"):
+        enum.position(np.append(enum.reachable, outside[-1]))
+
+
 def test_vacuum_present_and_trivial():
     enum = enumerate_gauge_states(LatticeConfig(2, 2, P, 1.0))
     assert 0 in enum.reachable and 0 < enum.n_gauss
@@ -265,6 +296,55 @@ def test_certify_stays_sparse(monkeypatch, bc, perturbation):
     monkeypatch.setattr(SparseOperator, "to_dense", refuse)
     report = certify_isomorphism(LatticeConfig(2, 3, bc, 1.0), perturbation)
     assert report.passed is (perturbation is None)
+
+
+def _patch_spin_matrix(monkeypatch, change):
+    """Make certify see build_hamiltonian's matrix after change(matrix)."""
+    build = hamiltonian.build_hamiltonian
+
+    def patched(cfg):
+        op = build(cfg)
+        change(op.matrix)
+        return op
+
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", patched)
+
+
+@pytest.mark.parametrize("nx,ny,bc", [(2, 3, P), (2, 3, C), (3, 4, P)])
+def test_certify_fits_sign_gauge(monkeypatch, nx, ny, bc):
+    # D H D for a +-1 diagonal D is the same model in another sign gauge:
+    # it passes, and the fit finds every flipped state (the vacuum anchors it)
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    dim = 1 << (cfg.n_plaq - cfg.periodic)
+    signs = np.where(np.random.default_rng(11).random(dim) < 0.5, -1.0, 1.0)
+    signs[0] = 1.0
+
+    def conjugate(m):
+        m.data *= np.repeat(signs, np.diff(m.indptr)) * signs[m.indices]
+
+    _patch_spin_matrix(monkeypatch, conjugate)
+    report = certify_isomorphism(cfg)
+    assert report.passed and report.max_deviation < 1e-10
+    assert report.nontrivial_signs == np.sum(signs < 0)
+    assert report.nontrivial_signs > 0
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (3, 2)])  # on the fitting tree, off it
+def test_certify_rejects_inconsistent_signs(monkeypatch, entry):
+    # one negated off-diagonal pair admits no sign gauge: every plaquette
+    # flip lies on a 4-cycle of commuting flips
+    i, j = entry
+
+    def negate(m):
+        if m[i, j] == 0:
+            raise AssertionError(f"({i}, {j}) is not a stored flip entry")
+        m[i, j] *= -1
+        m[j, i] *= -1
+
+    _patch_spin_matrix(monkeypatch, negate)
+    report = certify_isomorphism(LatticeConfig(2, 3, P, 1.0))
+    assert not report.passed
+    assert report.max_deviation > 0.1
 
 
 def test_certify_shift_values():
