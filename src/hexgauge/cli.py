@@ -103,12 +103,18 @@ def cmd_spectrum(args) -> int:
                     f.write(f"{nx_q},{ny_q},{k},{_fmt(v)}\n")
         outputs.append(path)
     else:
-        op = build_hamiltonian(cfg)
-        spec = diagonalize(op, mode="full", vectors=False)
+        if cfg.periodic:
+            # the translation sectors split H into blocks whose spectra
+            # together are H's; closed BC has no translations to split by
+            vals = np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)]))
+            op = build_hamiltonian(cfg) if args.export_mtx else None
+        else:
+            op = build_hamiltonian(cfg)
+            vals = diagonalize(op, mode="full", vectors=False).eigenvalues
         path = args.out + ".spectrum.csv"
         with open(path, "w") as f:
             f.write("index,eigenvalue\n")
-            for k, v in enumerate(spec.eigenvalues):
+            for k, v in enumerate(vals):
                 f.write(f"{k},{_fmt(v)}\n")
         outputs.append(path)
         if args.export_mtx:

@@ -24,8 +24,13 @@ from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, mo
 
 def _roots(den: int) -> np.ndarray:
     """exp(2j*pi*m/den) for m = 0 .. den-1, each from its reduced rational
-    angle."""
-    return np.array([cmath.exp(2j * cmath.pi * m / den) for m in range(den)])
+    angle.  Quarter turns are exact (1, i, -1, -i): cmath.exp(i*pi) carries
+    an imaginary 1e-16, which would leave the k = -k blocks complex."""
+    roots = np.array([cmath.exp(2j * cmath.pi * m / den) for m in range(den)])
+    m = np.arange(den)
+    quarter = 4 * m % den == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * m[quarter] // den]
+    return roots
 
 
 def _targets(sector: MomentumSector, flipped: np.ndarray):
@@ -63,7 +68,7 @@ def hx_block(sector: MomentumSector) -> SparseOperator:
 
 def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
     """J * H_zz + h_x * H_x restricted to the sector; real (float) when every
-    phase is real, as at k = 0."""
+    phase is real, as at every k = -k (k components 0 or pi)."""
     lam = sector.cfg.lam
     m = j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix
     if not m.data.imag.any():
@@ -133,9 +138,19 @@ def momentum_transform(sector: MomentumSector) -> np.ndarray:
 
 
 def sector_spectra(cfg: LatticeConfig) -> list[tuple[int, int, np.ndarray]]:
-    """(nx_q, ny_q, ascending eigenvalues) for every momentum sector."""
+    """(nx_q, ny_q, ascending eigenvalues) for every momentum sector.
+
+    H is real and every translation a real permutation, so sectors k and -k
+    keep the same representatives and norms and the -k block is the complex
+    conjugate of the k block: one dense solve serves both, and the -k entry
+    shares the k entry's eigenvalue array.
+    """
+    solved = {}
     out = []
     for sector in all_sectors(cfg):
-        vals = diagonalize(hamiltonian_block(sector), vectors=False).eigenvalues
-        out.append((sector.nx_q, sector.ny_q, vals))
+        k = (sector.nx_q, sector.ny_q)
+        vals = solved.get(((-k[0]) % cfg.nx, (-k[1]) % cfg.ny))
+        if vals is None:
+            vals = solved[k] = diagonalize(hamiltonian_block(sector), vectors=False).eigenvalues
+        out.append((*k, vals))
     return out

@@ -64,9 +64,13 @@ def basis_state(cfg: LatticeConfig, s: int) -> StateVector:
 
 @dataclass
 class Spectrum:
+    """Ascending eigenvalues, the eigenvectors as columns when kept, and
+    residual, the max ||H v - E v|| over those vectors (None without them)."""
+
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     label: str
+    residual: float | None = None
 
     @property
     def dim(self) -> int:
@@ -119,10 +123,10 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
         raise ValueError(f"unknown mode {mode!r}")
     spec = Spectrum(np.asarray(vals, float), vecs, op.label)
     if vecs is not None:
-        resid = spec.check_residuals(op)
+        spec.residual = spec.check_residuals(op)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        if resid > RESIDUAL_TOL * scale:
-            raise RuntimeError(f"eigen residual {resid:.3e} exceeds tolerance")
+        if spec.residual > RESIDUAL_TOL * scale:
+            raise RuntimeError(f"eigen residual {spec.residual:.3e} exceeds tolerance")
     return spec
 
 

@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
+
 from hexgauge.cli import main
-from hexgauge.hamiltonian import h_plus, h_x
+from hexgauge.hamiltonian import build_periodic, h_plus, h_x
+from hexgauge.lattice import BoundaryCondition, LatticeConfig
 
 
 def _write_cfg(tmp_path, nx=2, ny=2, bc="periodic", lam=1.0):
@@ -26,22 +29,28 @@ def test_spectrum_1x1_analytic(tmp_path):
     assert "run.spectrum.csv" in manifest["outputs"]
 
 
+def _csv_column(path, col):
+    return np.array([float(r.split(",")[col]) for r in path.read_text().strip().splitlines()[1:]])
+
+
 def test_spectrum_sectors_vs_full(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    full_out = str(tmp_path / "full")
-    sect_out = str(tmp_path / "sect")
-    assert main(["spectrum", "--config", cfg, "--out", full_out]) == 0
-    assert main(["spectrum", "--config", cfg, "--sectors", "--out", sect_out]) == 0
-    full = sorted(
-        float(r.split(",")[1])
-        for r in (tmp_path / "full.spectrum.csv").read_text().strip().splitlines()[1:]
-    )
-    sect = sorted(
-        float(r.split(",")[3])
-        for r in (tmp_path / "sect.sectors.csv").read_text().strip().splitlines()[1:]
-    )
-    assert len(full) == len(sect) == 8
-    assert all(abs(a - b) < 1e-8 for a, b in zip(full, sect))
+    # both periodic outputs come from the momentum blocks; the reference is
+    # the dense spectrum of the real-space quotient Hamiltonian
+    for nx, ny in [(2, 2), (2, 3), (3, 3), (3, 4)]:
+        cfg = LatticeConfig(nx, ny, BoundaryCondition.PERIODIC, 1.0)
+        dense = np.linalg.eigvalsh(build_periodic(cfg).to_dense())
+        full_out, sect_out = str(tmp_path / f"full{nx}{ny}"), str(tmp_path / f"sect{nx}{ny}")
+        assert main(["spectrum", "--nx", str(nx), "--ny", str(ny), "--out", full_out]) == 0
+        assert main(["spectrum", "--nx", str(nx), "--ny", str(ny), "--sectors", "--out", sect_out]) == 0
+        full = _csv_column(tmp_path / f"full{nx}{ny}.spectrum.csv", 1)
+        sect_csv = tmp_path / f"sect{nx}{ny}.sectors.csv"
+        listed = {tuple(r.split(",")[:2]) for r in sect_csv.read_text().strip().splitlines()[1:]}
+        assert listed == {(str(qx), str(qy)) for qx in range(nx) for qy in range(ny)}
+        sect = np.sort(_csv_column(sect_csv, 3))
+        assert len(full) == len(sect) == 1 << (nx * ny - 1)
+        assert np.all(np.diff(full) >= 0)
+        assert np.max(np.abs(full - dense)) < 1e-10
+        assert np.max(np.abs(sect - dense)) < 1e-10
 
 
 def test_outputs_byte_stable(tmp_path):
@@ -49,7 +58,10 @@ def test_outputs_byte_stable(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["spectrum", "--config", cfg, "--out", out1, "--export-mtx"])
     main(["spectrum", "--config", cfg, "--out", out2, "--export-mtx"])
+    main(["spectrum", "--config", cfg, "--out", out1 + "s", "--sectors"])
+    main(["spectrum", "--config", cfg, "--out", out2 + "s", "--sectors"])
     assert (tmp_path / "a.spectrum.csv").read_bytes() == (tmp_path / "b.spectrum.csv").read_bytes()
+    assert (tmp_path / "as.sectors.csv").read_bytes() == (tmp_path / "bs.sectors.csv").read_bytes()
     assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
     m1 = json.loads((tmp_path / "a.manifest.json").read_text())
     m2 = json.loads((tmp_path / "b.manifest.json").read_text())
@@ -143,7 +155,8 @@ def test_errors_exit_cleanly(tmp_path, capsys):
     # refused sizes and bad input print one line on stderr and exit with 2
     out = str(tmp_path / "e")
     for argv, words in [
-        (["spectrum", "--nx", "4", "--ny", "4"], "dense budget"),
+        (["spectrum", "--nx", "4", "--ny", "5"], "dense budget"),  # at the k = 0 block
+        (["spectrum", "--nx", "4", "--ny", "4", "--bc", "closed"], "dense budget"),
         (["evolve", "--state", "zz"], "'zz'"),
         (["sectors", "--bc", "closed"], "periodic BC"),
     ]:

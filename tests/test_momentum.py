@@ -80,6 +80,20 @@ def test_sector_spectra_complete(nx, ny):
     assert np.max(np.abs(parts - full)) < 1e-8
 
 
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4), (2, 4)])
+def test_sector_spectra_share_pm_k_pairs(nx, ny):
+    # -k keeps k's reps and norms, and the values reported for -k are those
+    # of the -k block solved on its own
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    sectors = {(s.nx_q, s.ny_q): s for s in all_sectors(cfg)}
+    for qx, qy, vals in sector_spectra(cfg):
+        sector, partner = sectors[qx, qy], sectors[(-qx) % nx, (-qy) % ny]
+        assert np.array_equal(sector.reps, partner.reps)
+        assert np.array_equal(sector.norms, partner.norms)
+        own = np.linalg.eigvalsh(hamiltonian_block(sector).to_dense())
+        assert np.max(np.abs(vals - own)) < 1e-12
+
+
 def test_hx_vacuum_row_coherent_sum():
     # vacuum -> single-flip at k=0 has magnitude sqrt(N)
     cfg = LatticeConfig(3, 3, P, 1.0)
@@ -223,6 +237,15 @@ def test_k0_hamiltonian_block_real(nx, ny):
     full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
     assert full.dtype == np.complex128
     assert np.max(np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(full))) < 1e-10
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (2, 4), (4, 4)])
+def test_self_conjugate_blocks_real(nx, ny):
+    # at k = -k every phase is +-1 exactly, so the block is stored real
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    for sector in all_sectors(cfg):
+        self_conjugate = (2 * sector.nx_q) % nx == 0 and (2 * sector.ny_q) % ny == 0
+        assert (hamiltonian_block(sector).matrix.dtype == np.float64) == self_conjugate
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])

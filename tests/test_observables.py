@@ -42,6 +42,12 @@ def test_diagonalize_residuals():
     spec = diagonalize(op)
     assert spec.check_residuals(op) < 1e-8
     assert np.all(np.diff(spec.eigenvalues) >= 0)
+    # the residual the solve checked is kept, in both modes, and only with vectors
+    assert spec.residual == spec.check_residuals(op)
+    low = diagonalize(op, mode="lowest", k=2)
+    assert low.residual == low.check_residuals(op) < 1e-8
+    assert diagonalize(op, vectors=False).residual is None
+    assert diagonalize(op, mode="lowest", k=2, vectors=False).residual is None
 
 
 def test_lowest_mode_matches_full():
