@@ -206,6 +206,10 @@ def cmd_wilson(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if not np.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     cfg = _load_config(args)
     op = build_hamiltonian(cfg)
     psi0 = basis_state(cfg, int(args.state, 16))

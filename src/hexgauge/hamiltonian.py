@@ -91,13 +91,14 @@ class SparseOperator:
         field, symmetry = ("complex", "hermitian") if np.iscomplexobj(self.matrix) else ("real", "symmetric")
         scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field=field, symmetry=symmetry)
 
-
-def _triplets_csr(rows, cols, vals, shape) -> scipy.sparse.csr_matrix:
-    """Canonical CSR from lists of (row, col, value) arrays: duplicates
-    summed, column indices sorted."""
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    ).tocsr()
+    @staticmethod
+    def rows_csr(cols: np.ndarray, vals: np.ndarray) -> scipy.sparse.csr_matrix:
+        """Square CSR storing vals[s, i] at (s, cols[s, i]): m distinct columns
+        in every row of the (dim, m) arrays, wrapped as given, sorted in place."""
+        dim, m = cols.shape
+        mat = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, dim * m + 1, m)), (dim, dim))
+        mat.sort_indices()
+        return mat
 
 
 @lru_cache(maxsize=None)
@@ -217,22 +218,19 @@ def _require_nondegenerate(cfg: LatticeConfig):
 def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     """H on the flip quotient or on all 2^N states.
 
-    Column s holds the diagonal and, for every plaquette p, -h_x times
-    O_1(p)'s amplitude at row s ^ (1 << p).  The quotient stores every
-    diagonal entry, zeros included; the full bases drop zero diagonals.
+    Row s stores the diagonal, zeros included, and for every plaquette p
+    the entry at t = flip_p(s): -h_x times O_1(p)'s amplitude read at t,
+    since each flip is an involution and maps column t onto row s.
     """
     lam = cfg.lam
     states = state_array(cfg, quotient)
-    diag = bond_diagonal(states, cfg)
-    if cfg.periodic:
-        diag = j_zz(lam) * diag
-    keep = states if quotient else np.flatnonzero(diag)
-    rows, cols, vals = [keep], [keep], [diag[keep]]
+    cols = np.empty((len(states), cfg.n_plaq + 1), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    cols[:, 0] = states
+    vals[:, 0] = bond_diagonal(states, cfg) * (j_zz(lam) if cfg.periodic else 1.0)
     for p in range(cfg.n_plaq):
         mask, amp = flip_action(cfg, states, cfg.coord(p), eight=False)
         amp *= -h_x(lam)
-        rows.append(flipped(states, mask, cfg, quotient))
-        cols.append(states)
-        vals.append(amp)
-    dim = len(states)
-    return SparseOperator(_triplets_csr(rows, cols, vals, (dim, dim)), cfg, basis_label(cfg, quotient))
+        cols[:, p + 1] = t = flipped(states, mask, cfg, quotient)
+        vals[:, p + 1] = amp[t]
+    return SparseOperator(SparseOperator.rows_csr(cols, vals), cfg, basis_label(cfg, quotient))

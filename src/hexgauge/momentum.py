@@ -16,7 +16,7 @@ import cmath
 import numpy as np
 import scipy.sparse
 
-from .hamiltonian import SparseOperator, _triplets_csr, basis_label, bond_diagonal, flip_action, h_x, j_zz
+from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz
 from .lattice import LatticeConfig
 from .observables import diagonalize
 from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, translate
@@ -55,9 +55,9 @@ def _operator(sector: MomentumSector, matrix) -> SparseOperator:
 
 def hzz_block(sector: MomentumSector) -> SparseOperator:
     """Diagonal electric block: sum of the three forward bond products."""
-    cols = np.arange(sector.dim)
-    diag = bond_diagonal(sector.reps, sector.cfg).astype(float)
-    return _operator(sector, _triplets_csr([cols], [cols], [diag], (sector.dim, sector.dim)))
+    cols = np.arange(sector.dim, dtype=np.int32)[:, None]
+    diag = bond_diagonal(sector.reps, sector.cfg).astype(float)[:, None]
+    return _operator(sector, SparseOperator.rows_csr(cols, diag))
 
 
 def hx_block(sector: MomentumSector) -> SparseOperator:
@@ -116,7 +116,9 @@ def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
             vals = np.sqrt(nb / sector.norms) / denom * roots[num % cfg.n_plaq] * amp
             for part, x in zip(triplets, (row, cols, vals)):
                 part.append(x[hit])
-    return _triplets_csr(*triplets, (sector_p.dim, sector.dim))
+    # entries per column vary and two translations may coincide: COO sums them
+    rows, cols, vals = map(np.concatenate, triplets)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(sector_p.dim, sector.dim)).tocsr()
 
 
 def momentum_transform(sector: MomentumSector) -> np.ndarray:

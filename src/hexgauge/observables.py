@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hamiltonian import SparseOperator, _triplets_csr, basis_label, flip_action, flipped
+from .hamiltonian import SparseOperator, basis_label, flip_action, flipped
 from .lattice import LatticeConfig
 from .spinbasis import fold, state_array
 
@@ -135,12 +135,11 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
 # ---------------------------------------------------------------------------
 
 def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> scipy.sparse.csr_matrix:
-    """amp[s] at row |s ^ mask>, column s, over the working basis."""
+    """Row s stores amp[t] at t = |s ^ mask>, the column the flip maps onto s."""
     states = state_array(cfg, cfg.periodic)
     mask, amp = flip_action(cfg, states, c, eight)
-    rows = flipped(states, mask, cfg, cfg.periodic)
-    dim = len(states)
-    return _triplets_csr([rows], [states], [amp], (dim, dim))
+    t = flipped(states, mask, cfg, cfg.periodic)
+    return SparseOperator.rows_csr(t.astype(np.int32)[:, None], amp[t][:, None])
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:

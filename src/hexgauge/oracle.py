@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import LatticeConfig
 
@@ -394,18 +393,16 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
     configs, n = enum.reachable, enum.n_reachable
     hmag = magnetic_coupling(cfg.lam)
     n_up = sum(enum.link(configs, l) for l in range(enum.geo.n_edges))
-    # column g holds the diagonal, then one entry per plaquette toggle
-    rows = np.empty((cfg.n_plaq + 1, n), dtype=np.int32)
-    vals = np.empty(rows.shape)
-    rows[0] = np.arange(n)
-    vals[0] = electric_link_energy(cfg.lam) * n_up + 2.0 * cfg.n_plaq * hmag
+    # row g: the diagonal, then per toggle its element read at the column t it maps onto g
+    cols = np.empty((n, cfg.n_plaq + 1), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    cols[:, 0] = np.arange(n)
+    vals[:, 0] = electric_link_energy(cfg.lam) * n_up + 2.0 * cfg.n_plaq * hmag
     # position is linear: toggling p takes index s to s ^ position(toggle p)
     for p, moved in enumerate(enum.position(enum.toggles)):
-        rows[p + 1] = rows[0] ^ moved
-        vals[p + 1] = -hmag * plaquette_element(enum, configs, p)
-    cols = np.tile(rows[0], len(rows))
-    mat = scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(n, n)).tocsr()
-    mat.sort_indices()
+        cols[:, p + 1] = t = cols[:, 0] ^ moved
+        vals[:, p + 1] = (-hmag * plaquette_element(enum, configs, p))[t]
+    mat = SparseOperator.rows_csr(cols, vals)
     return SparseOperator(mat, cfg, "gauge-reachable")
 
 
@@ -470,6 +467,8 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
 
     a = spin.matrix
     b = ks_hamiltonian(cfg, enum).matrix
+    if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+        raise ValueError("spin and gauge matrices store different entries")
 
     shift = float(np.mean(b.diagonal() - a.diagonal()))
 
@@ -484,15 +483,16 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     if nontrivial:  # b -> D b D in place
         b.data *= np.repeat(signs, np.diff(b.indptr)) * signs[b.indices]
 
-    # Stored entries of the canonical residual, in row-major order: argmax
-    # picks the first worst entry, as over the dense array.
-    resid = abs(b - a - shift * scipy.sparse.identity(dim))
-    resid.sum_duplicates()
-    max_dev = float(resid.data.max(initial=0.0))
+    # The residual (b - a) - shift over the shared stored entries, in place in
+    # b; argmax picks the first worst entry in row-major order, as dense would.
+    b.data -= a.data
+    b.setdiag(b.diagonal() - shift)
+    np.abs(b.data, out=b.data)
+    max_dev = float(b.data.max(initial=0.0))
     worst = None
     if max_dev >= TOL_CERT:
-        k = int(np.argmax(resid.data))
-        worst = (int(np.searchsorted(resid.indptr, k, side="right")) - 1, int(resid.indices[k]))
+        k = int(np.argmax(b.data))
+        worst = (int(np.searchsorted(b.indptr, k, side="right")) - 1, int(b.indices[k]))
     return CertReport(
         cfg=cfg,
         n_gauss=enum.n_gauss,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -126,7 +125,7 @@ class MomentumSector:
 
     reps holds the orbit representatives whose momentum state survives, in
     increasing order (int64); norms holds the matching normalization
-    factors N_a.  index maps representative -> position in reps.
+    factors N_a.
     """
 
     cfg: LatticeConfig
@@ -135,10 +134,6 @@ class MomentumSector:
     reps: np.ndarray
     norms: np.ndarray
     orbits: OrbitTable
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return dict(zip(self.reps.tolist(), range(self.dim)))
 
     @property
     def dim(self) -> int:

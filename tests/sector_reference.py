@@ -65,9 +65,9 @@ def flip_shift(sector, to_rep: dict, flipped: int):
     state vanishes in the sector."""
     cfg = sector.cfg
     b, rx, ry = to_rep[int(fold(flipped, cfg))]
-    row = sector.index.get(b)
-    if row is None:
+    if b not in sector.reps:
         return None
+    row = int(np.searchsorted(sector.reps, b))
     return row, sector.norms[row], (-rx) % cfg.nx, (-ry) % cfg.ny
 
 

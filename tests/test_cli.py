@@ -158,6 +158,9 @@ def test_errors_exit_cleanly(tmp_path, capsys):
         (["spectrum", "--nx", "4", "--ny", "5"], "dense budget"),  # at the k = 0 block
         (["spectrum", "--nx", "4", "--ny", "4", "--bc", "closed"], "dense budget"),
         (["evolve", "--state", "zz"], "'zz'"),
+        (["evolve", "--t", "nan"], "--t"),
+        (["evolve", "--t", "inf"], "--t"),
+        (["evolve", "--steps", "-1"], "--steps"),
         (["sectors", "--bc", "closed"], "periodic BC"),
     ]:
         assert main([*argv, "--out", out]) == 2

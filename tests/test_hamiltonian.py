@@ -26,6 +26,8 @@ from hexgauge.lattice import (
     neighbor_chain6,
     neighbor_chain8,
 )
+from hexgauge.observables import wilson1_operator, wilson2_operator
+from hexgauge.oracle import ks_hamiltonian
 from hexgauge.spinbasis import fold, full_mask, state_array, translate
 
 P = BoundaryCondition.PERIODIC
@@ -307,10 +309,9 @@ def _scalar_assemble(cfg: LatticeConfig, quotient: bool) -> scipy.sparse.csr_mat
             d = j_zz(lam) * _scalar_zz(s, bond_list)
         else:
             d = closed_diagonal(s, cfg, bond_list)
-        if quotient or d != 0.0:
-            rows.append(s)
-            cols.append(s)
-            vals.append(d)
+        rows.append(s)
+        cols.append(s)
+        vals.append(d)
         for p in range(n):
             t = s ^ (1 << p)
             if quotient:
@@ -343,3 +344,33 @@ def test_assembler_matches_scalar_loop(builder, quotient, nx, ny, bc):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("builder,nx,ny,bc", [
+    (build_closed, 1, 1, C),
+    (build_closed, 2, 3, C),
+    (build_closed, 3, 4, C),
+    (build_periodic, 2, 2, P),
+    (build_periodic, 3, 4, P),
+    (build_periodic_full, 2, 3, P),
+    (build_periodic_full, 3, 3, P),
+])
+def test_every_row_stores_n_plus_one(builder, nx, ny, bc):
+    # the diagonal, zeros included, and one flip entry per plaquette
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    counts = np.diff(builder(cfg).matrix.indptr)
+    assert np.all(counts == cfg.n_plaq + 1)
+
+
+def test_fixed_pattern_builders_need_no_coo(monkeypatch):
+    # every row has a fixed entry count, so nothing goes through COO triplets
+    def refuse(*args, **kwargs):
+        raise AssertionError("COO assembly")
+
+    monkeypatch.setattr(scipy.sparse, "coo_matrix", refuse)
+    for builder, bc in [(build_closed, C), (build_periodic, P), (build_periodic_full, P)]:
+        cfg = LatticeConfig(2, 3, bc, 1.0)
+        op = builder(cfg)
+        assert op.matrix.nnz == op.dim * 7
+        assert wilson1_operator(cfg).nnz == wilson2_operator(cfg).nnz == 1 << (6 - cfg.periodic)
+        assert ks_hamiltonian(cfg).matrix.nnz == 7 << (6 - cfg.periodic)

@@ -31,16 +31,17 @@ def test_hzz_vacuum():
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 0, 0)
     hzz = hzz_block(sector).to_dense()
-    assert hzz[sector.index[0], sector.index[0]] == 27
+    vac = sector.reps.tolist().index(0)
+    assert hzz[vac, vac] == 27
     assert np.count_nonzero(hzz - np.diag(np.diag(hzz))) == 0
 
 
 def test_hzz_single_up():
     cfg = LatticeConfig(3, 3, P, 1.0)
     for sector in all_sectors(cfg):
-        row = sector.index.get(1)  # single-up orbit representative
-        if row is None:
+        if 1 not in sector.reps:  # the single-up orbit representative
             continue
+        row = sector.reps.tolist().index(1)
         hzz = hzz_block(sector).to_dense()
         assert hzz[row, row] == 27 - 12 == 15
 
@@ -48,10 +49,10 @@ def test_hzz_single_up():
 def test_hzz_independent_of_k():
     cfg = LatticeConfig(2, 3, P, 1.0)
     sectors = all_sectors(cfg)
-    base = {r: hzz_block(sectors[0]).to_dense()[i, i] for r, i in sectors[0].index.items()}
+    base = {r: hzz_block(sectors[0]).to_dense()[i, i] for i, r in enumerate(sectors[0].reps.tolist())}
     for sector in sectors[1:]:
         hzz = hzz_block(sector).to_dense()
-        for rep, i in sector.index.items():
+        for i, rep in enumerate(sector.reps.tolist()):
             assert hzz[i, i] == base[rep]
 
 
@@ -99,7 +100,7 @@ def test_hx_vacuum_row_coherent_sum():
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 0, 0)
     m = hx_block(sector).to_dense()
-    vac, single = sector.index[0], sector.index[1]
+    vac, single = sector.reps.tolist().index(0), sector.reps.tolist().index(1)
     assert abs(m[single, vac]) == pytest.approx(math.sqrt(9), abs=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_wilson1_vacuum_elements():
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 0, 0)
     w = wilson1_block(sector, sector)
-    vac, single = sector.index[0], sector.index[1]
+    vac, single = sector.reps.tolist().index(0), sector.reps.tolist().index(1)
     assert w[vac, vac] == 0
     assert w[single, vac] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
@@ -144,8 +145,7 @@ def test_wilson2_vacuum_element():
     sector = build_sector(cfg, 0, 0)
     w = wilson2_block(sector, sector)
     double = (1 << cfg.site(0, 0)) | (1 << cfg.site(0, 1))
-    vac = sector.index[0]
-    row = sector.index[double]
+    vac, row = sector.reps.tolist().index(0), sector.reps.tolist().index(double)
     assert w[row, vac] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import hexgauge.hamiltonian as hamiltonian
 
@@ -296,6 +297,26 @@ def test_certify_stays_sparse(monkeypatch, bc, perturbation):
     monkeypatch.setattr(SparseOperator, "to_dense", refuse)
     report = certify_isomorphism(LatticeConfig(2, 3, bc, 1.0), perturbation)
     assert report.passed is (perturbation is None)
+
+
+@pytest.mark.parametrize("nx,ny,bc", [(1, 1, C), (2, 3, C), (3, 4, C), (2, 2, P), (3, 4, P), (4, 4, P)])
+def test_ks_stores_the_spin_pattern(nx, ny, bc):
+    # in spin order both matrices store the diagonal and one entry per flip
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    spin, ks = hamiltonian.build_hamiltonian(cfg).matrix, ks_hamiltonian(cfg).matrix
+    assert np.array_equal(ks.indptr, spin.indptr)
+    assert np.array_equal(ks.indices, spin.indices)
+
+
+@pytest.mark.parametrize("bc", [P, C])
+def test_certify_rejects_a_different_pattern(monkeypatch, bc):
+    def add_entry(m):  # (0, 3) is two flips away from 0: not stored
+        grown = m + scipy.sparse.csr_matrix(([1.0], ([0], [3])), shape=m.shape)
+        m.indptr, m.indices, m.data = grown.indptr, grown.indices, grown.data
+
+    _patch_spin_matrix(monkeypatch, add_entry)
+    with pytest.raises(ValueError, match="store different entries"):
+        certify_isomorphism(LatticeConfig(2, 3, bc, 1.0))
 
 
 def _patch_spin_matrix(monkeypatch, change):

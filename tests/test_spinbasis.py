@@ -88,7 +88,7 @@ def test_canonicalize_idempotent_and_commutes():
 def test_vacuum_norm_2x2():
     cfg = LatticeConfig(2, 2, P, 1.0)
     sector = build_sector(cfg, 0, 0)
-    assert sector.norms[sector.index[0]] == pytest.approx(16.0, abs=1e-12)
+    assert sector.norms[sector.reps.tolist().index(0)] == pytest.approx(16.0, abs=1e-12)
 
 
 def test_sector_partition_property():
@@ -102,7 +102,7 @@ def test_vacuum_absent_at_nonzero_k():
     cfg = LatticeConfig(2, 2, P, 1.0)
     for s in all_sectors(cfg):
         if (s.nx_q, s.ny_q) != (0, 0):
-            assert 0 not in s.index
+            assert 0 not in s.reps
 
 
 def test_norms_reproduce_unit_norm():
