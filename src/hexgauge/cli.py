@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every command reads a JSON lattice config (flags may override single
-fields), writes CSV/JSON outputs plus a manifest with sha256 digests, and
-is fully deterministic: re-running with the same config reproduces
-byte-identical files.
+fields) and writes CSV/JSON outputs; main adds a manifest with their sha256
+digests and the argv it was given. Runs are fully deterministic:
+re-running with the same config reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .oracle import certify_isomorphism
 from .spinbasis import all_sectors, build_sector, state_array
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -45,8 +41,24 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_csv(path: str, header: str, rows) -> str:
+    """One line per row of Python ints, strs and floats; str of a float is
+    its shortest round-trip repr."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    return path
+
+
+def _write_json(path: str, obj) -> str:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
 def _write_manifest(out_prefix: str, cfg: LatticeConfig, command: list[str], outputs: list[str],
-                    config_path: str | None = None):
+                    config_path: str | None = None) -> str:
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -56,27 +68,17 @@ def _write_manifest(out_prefix: str, cfg: LatticeConfig, command: list[str], out
     }
     if config_path:
         manifest["input_digest"] = _sha256(config_path)
-    path = out_prefix + ".manifest.json"
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    return _write_json(out_prefix + ".manifest.json", manifest)
 
 
 def _load_config(args) -> LatticeConfig:
     if args.config:
-        cfg = LatticeConfig.from_json(args.config)
-        d = cfg.to_dict()
+        d = LatticeConfig.from_json(args.config).to_dict()
     else:
         d = {"nx": 2, "ny": 2, "bc": "periodic", "lambda": 1.0}
-    if args.nx is not None:
-        d["nx"] = args.nx
-    if args.ny is not None:
-        d["ny"] = args.ny
-    if args.bc is not None:
-        d["bc"] = args.bc
-    if args.lam is not None:
-        d["lambda"] = args.lam
+    for key, value in (("nx", args.nx), ("ny", args.ny), ("bc", args.bc), ("lambda", args.lam)):
+        if value is not None:
+            d[key] = value
     return LatticeConfig.from_dict(d)
 
 
@@ -89,166 +91,106 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="hexgauge_out", help="output file prefix")
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    outputs = []
+def _wilson_operators(cfg: LatticeConfig):
+    """O1 and O2 at the origin; O2 is None on a single-row closed lattice,
+    where the 2-plaquette loop has no placement."""
+    o1 = wilson1_operator(cfg, (0, 0))
+    return o1, (wilson2_operator(cfg, (0, 0)) if cfg.periodic or cfg.ny >= 2 else None)
+
+
+# Every command takes (cfg, args) and returns (exit code, paths written);
+# main writes the manifest over those paths.
+
+def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if args.sectors:
         if not cfg.periodic:
             raise ValueError("--sectors requires periodic BC")
-        path = args.out + ".sectors.csv"
-        with open(path, "w") as f:
-            f.write("nx_q,ny_q,index,eigenvalue\n")
-            for nx_q, ny_q, vals in sector_spectra(cfg):
-                for k, v in enumerate(vals):
-                    f.write(f"{nx_q},{ny_q},{k},{_fmt(v)}\n")
-        outputs.append(path)
+        rows = ((nx_q, ny_q, k, v) for nx_q, ny_q, vals in sector_spectra(cfg)
+                for k, v in enumerate(vals.tolist()))
+        return 0, [_write_csv(args.out + ".sectors.csv", "nx_q,ny_q,index,eigenvalue", rows)]
+    if cfg.periodic:
+        # the translation sectors split H into blocks whose spectra
+        # together are H's; closed BC has no translations to split by
+        vals = np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)]))
+        op = build_hamiltonian(cfg) if args.export_mtx else None
     else:
-        if cfg.periodic:
-            # the translation sectors split H into blocks whose spectra
-            # together are H's; closed BC has no translations to split by
-            vals = np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)]))
-            op = build_hamiltonian(cfg) if args.export_mtx else None
-        else:
-            op = build_hamiltonian(cfg)
-            vals = diagonalize(op, mode="full", vectors=False).eigenvalues
-        path = args.out + ".spectrum.csv"
-        with open(path, "w") as f:
-            f.write("index,eigenvalue\n")
-            for k, v in enumerate(vals):
-                f.write(f"{k},{_fmt(v)}\n")
-        outputs.append(path)
-        if args.export_mtx:
-            mtx = args.out + ".mtx"
-            op.export_mtx(mtx)
-            outputs.append(mtx)
-    outputs.append(_write_manifest(args.out, cfg, sys.argv[1:], outputs, args.config))
-    print(f"wrote {', '.join(outputs)}")
-    return 0
+        op = build_hamiltonian(cfg)
+        vals = diagonalize(op, mode="full", vectors=False).eigenvalues
+    paths = [_write_csv(args.out + ".spectrum.csv", "index,eigenvalue", enumerate(vals.tolist()))]
+    if args.export_mtx:
+        op.export_mtx(args.out + ".mtx")
+        paths.append(args.out + ".mtx")
+    return 0, paths
 
 
-def cmd_basis(args) -> int:
-    cfg = _load_config(args)
+def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     # the basis is 0 .. dim-1 (state_array), so the words come from a range
     dim = len(state_array(cfg, cfg.periodic))
-    path = args.out + ".basis.json"
-    with open(path, "w") as f:
-        json.dump(
-            {"config": cfg.to_dict(), "dim": dim, "states_hex": [format(s, "x") for s in range(dim)]},
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
-    _write_manifest(args.out, cfg, sys.argv[1:], [path], args.config)
-    print(f"{dim} basis states -> {path}")
-    return 0
+    dump = {"config": cfg.to_dict(), "dim": dim, "states_hex": [format(s, "x") for s in range(dim)]}
+    return 0, [_write_json(args.out + ".basis.json", dump)]
 
 
-def cmd_sectors(args) -> int:
-    cfg = _load_config(args)
+def cmd_sectors(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if not cfg.periodic:
         raise ValueError("sectors require periodic BC")
-    dump = [s.to_dict() for s in all_sectors(cfg)]
-    path = args.out + ".sectors.json"
-    with open(path, "w") as f:
-        json.dump({"config": cfg.to_dict(), "sectors": dump}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(args.out, cfg, sys.argv[1:], [path], args.config)
-    print(f"{len(dump)} sectors -> {path}")
-    return 0
+    dump = {"config": cfg.to_dict(), "sectors": [s.to_dict() for s in all_sectors(cfg)]}
+    return 0, [_write_json(args.out + ".sectors.json", dump)]
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     report = certify_isomorphism(cfg, perturbation=(0.001 if args.corrupt else None))
-    path = args.out + ".verify.json"
-    with open(path, "w") as f:
-        f.write(report.to_json())
-        f.write("\n")
-    _write_manifest(args.out, cfg, sys.argv[1:], [path], args.config)
+    path = _write_json(args.out + ".verify.json", report.to_dict())
     print(report.to_json())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), [path]
 
 
-def cmd_wilson(args) -> int:
-    cfg = _load_config(args)
-    if args.blocks and not cfg.periodic:
-        raise ValueError("--blocks requires periodic BC")
-    outputs = []
+def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
+    if args.blocks:
+        # a closed lattice or a bad sector is refused here, before the solve writes anything
+        sectors = build_sector(cfg, *args.sector), build_sector(cfg, *args.sector_prime)
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest", k=1)
     gs = spec.eigenvectors[:, 0]
-    o1 = wilson1_operator(cfg, (0, 0))
-    path = args.out + ".wilson.csv"
-    with open(path, "w") as f:
-        f.write("observable,value\n")
-        f.write(f"ground_energy,{_fmt(spec.eigenvalues[0])}\n")
-        f.write(f"o1_expectation,{_fmt(np.real(np.vdot(gs, o1 @ gs)))}\n")
-        if cfg.periodic or cfg.ny >= 2:
-            o2 = wilson2_operator(cfg, (0, 0))
-            f.write(f"o2_expectation,{_fmt(np.real(np.vdot(gs, o2 @ gs)))}\n")
-    outputs.append(path)
+    rows = [("ground_energy", float(spec.eigenvalues[0]))]
+    for name, o in zip(("o1", "o2"), _wilson_operators(cfg)):
+        if o is not None:
+            rows.append((f"{name}_expectation", float(np.real(np.vdot(gs, o @ gs)))))
+    paths = [_write_csv(args.out + ".wilson.csv", "observable,value", rows)]
     if args.blocks:
-        ka = build_sector(cfg, *args.sector)
-        kb = build_sector(cfg, *args.sector_prime)
         for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):
-            block = make(ka, kb).toarray()
-            bpath = f"{args.out}.{name}_block.csv"
-            with open(bpath, "w") as f:
-                f.write("row,col,re,im\n")
-                for r in range(block.shape[0]):
-                    for c in range(block.shape[1]):
-                        f.write(f"{r},{c},{_fmt(block[r, c].real)},{_fmt(block[r, c].imag)}\n")
-            outputs.append(bpath)
-    outputs.append(_write_manifest(args.out, cfg, sys.argv[1:], outputs, args.config))
-    print(f"wrote {', '.join(outputs)}")
-    return 0
+            block = make(*sectors).toarray()
+            rows = ((r, c, re, im) for r, row in enumerate(block)
+                    for c, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
+            paths.append(_write_csv(f"{args.out}.{name}_block.csv", "row,col,re,im", rows))
+    return 0, paths
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if not np.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
-    cfg = _load_config(args)
     op = build_hamiltonian(cfg)
     psi0 = basis_state(cfg, int(args.state, 16))
-    o1 = wilson1_operator(cfg, (0, 0))
-    # the 2-plaquette loop has no placement on a single-row closed lattice
-    o2 = wilson2_operator(cfg, (0, 0)) if (cfg.periodic or cfg.ny >= 2) else None
+    o1, o2 = _wilson_operators(cfg)
     times = np.linspace(0.0, args.t, args.steps + 1)
-    path = args.out + ".evolve.csv"
-    with open(path, "w") as f:
-        f.write("t,re_o1,re_o2,energy\n")
-        for t, psi in trajectory(op, psi0, times):
-            v1 = expectation(o1, psi).real
-            v2 = expectation(o2, psi).real if o2 is not None else float("nan")
-            en = expectation(op.matrix, psi).real
-            f.write(f"{_fmt(t)},{_fmt(v1)},{_fmt(v2)},{_fmt(en)}\n")
-    _write_manifest(args.out, cfg, sys.argv[1:], [path], args.config)
-    print(f"wrote {path}")
-    return 0
+    rows = ((t, expectation(o1, psi).real,
+             expectation(o2, psi).real if o2 is not None else float("nan"),
+             expectation(op.matrix, psi).real)
+            for t, psi in trajectory(op, psi0, times))
+    return 0, [_write_csv(args.out + ".evolve.csv", "t,re_o1,re_o2,energy", rows)]
 
 
-def cmd_emit_circuit(args) -> int:
-    cfg = _load_config(args)
+def cmd_emit_circuit(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     circ = emit_trotter_circuit(cfg, args.dt, args.steps)
-    path = args.emit_qasm or (args.out + ".qasm")
-    with open(path, "w") as f:
+    qasm = args.emit_qasm or (args.out + ".qasm")
+    with open(qasm, "w") as f:
         f.write(circ.to_qasm())
-    outputs = [path]
     report = {"qubits": cfg.n_plaq, "gates": len(circ.gates), "dt": args.dt, "steps": args.steps}
     if cfg.n_plaq <= VERIFY_MAX_QUBITS:
         step = emit_trotter_step(cfg, args.dt)
         report["step_deviation"] = verify_circuit(step, cfg, args.dt)
-    rpath = args.out + ".circuit.json"
-    with open(rpath, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    outputs.append(rpath)
-    outputs.append(_write_manifest(args.out, cfg, sys.argv[1:], outputs, args.config))
-    print(f"wrote {', '.join(outputs)}")
-    return 0
+    return 0, [qasm, _write_json(args.out + ".circuit.json", report)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,12 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:  # bad input or an over-budget size: one line, no traceback
+        cfg = _load_config(args)
+        code, paths = args.func(cfg, args)
+        paths.append(_write_manifest(args.out, cfg, argv, paths, args.config))
+    except (OSError, ValueError) as exc:
+        # bad input, an over-budget size or an unwritable path: one line, no traceback
         print(f"hexgauge {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    print(f"wrote {', '.join(paths)}")
+    return code
 
 
 if __name__ == "__main__":

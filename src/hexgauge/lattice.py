@@ -77,6 +77,11 @@ class LatticeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        missing = [k for k in ("nx", "ny", "lambda") if k not in d]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
         unknown = sorted(set(d) - {"nx", "ny", "bc", "lambda"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 
 import numpy as np
+import pytest
 
 from hexgauge.cli import main
 from hexgauge.hamiltonian import build_periodic, h_plus, h_x
@@ -135,11 +137,18 @@ def test_wilson_blocks(tmp_path):
     assert (tmp_path / "w.wilson.csv").exists()
 
 
-def test_wilson_blocks_closed_refused_before_work(tmp_path, capsys):
-    # the closed-BC refusal comes before the ground-state solve: no output
+@pytest.mark.parametrize("argv", [
+    ["--nx", "2", "--ny", "2", "--bc", "closed"],
+    ["--nx", "3", "--ny", "4", "--sector", "9", "9"],
+    ["--nx", "3", "--ny", "4", "--sector-prime", "0", "4"],
+], ids=["closed", "bad-sector", "bad-sector-prime"])
+def test_wilson_blocks_closed_refused_before_work(tmp_path, capsys, argv):
+    # both sectors are built before the ground-state solve: a closed lattice
+    # or an out-of-range sector exits 2 and leaves no output behind
     out = str(tmp_path / "w")
-    assert main(["wilson", "--nx", "2", "--ny", "2", "--bc", "closed", "--blocks", "--out", out]) == 2
-    assert "periodic BC" in capsys.readouterr().err
+    assert main(["wilson", *argv, "--blocks", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert ("periodic BC" in err or "out of range" in err) and err.count("\n") == 1
     assert list(tmp_path.glob("w*")) == []
 
 
@@ -152,8 +161,13 @@ def test_flag_overrides(tmp_path):
 
 
 def test_errors_exit_cleanly(tmp_path, capsys):
-    # refused sizes and bad input print one line on stderr and exit with 2
+    # refused sizes, bad input and unreadable or unwritable paths print one
+    # line on stderr and exit with 2
     out = str(tmp_path / "e")
+    no_nx = tmp_path / "no_nx.json"
+    no_nx.write_text(json.dumps({"ny": 2, "lambda": 1.0}))
+    a_list = tmp_path / "list.json"
+    a_list.write_text(json.dumps([2, 2, "periodic", 1.0]))
     for argv, words in [
         (["spectrum", "--nx", "4", "--ny", "5"], "dense budget"),  # at the k = 0 block
         (["spectrum", "--nx", "4", "--ny", "4", "--bc", "closed"], "dense budget"),
@@ -162,7 +176,62 @@ def test_errors_exit_cleanly(tmp_path, capsys):
         (["evolve", "--t", "inf"], "--t"),
         (["evolve", "--steps", "-1"], "--steps"),
         (["sectors", "--bc", "closed"], "periodic BC"),
+        (["basis", "--config", str(tmp_path / "missing.json")], "missing.json"),
+        (["basis", "--config", str(no_nx)], "missing config keys: nx"),
+        (["basis", "--config", str(a_list)], "JSON object"),
+        (["basis", "--out", str(tmp_path / "no" / "such" / "dir")], "No such file"),
     ]:
-        assert main([*argv, "--out", out]) == 2
+        # an --out in argv comes after this one and wins
+        assert main([argv[0], "--out", out, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert words in err and "Traceback" not in err and err.count("\n") == 1
+
+
+def test_manifest_records_given_argv(tmp_path):
+    # the manifest's command is the argv main was given, not sys.argv
+    argv = ["basis", "--nx", "1", "--ny", "2", "--bc", "closed", "--out", str(tmp_path / "m")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "m.manifest.json").read_text())["command"] == argv
+
+
+def test_manifest_covers_outputs(tmp_path):
+    # every command's manifest lists exactly the files it wrote, each digest
+    # matches its file, and every CSV float cell is its shortest repr
+    small = ["--nx", "2", "--ny", "3"]
+    closed = ["--nx", "2", "--ny", "3", "--bc", "closed"]
+    runs = [
+        ["spectrum", *small, "--export-mtx"],
+        ["spectrum", *small, "--sectors"],
+        ["spectrum", *closed, "--export-mtx"],
+        ["basis", *small],
+        ["sectors", *small],
+        ["verify", *small],
+        ["wilson", *small, "--blocks", "--sector", "1", "0", "--sector-prime", "1", "1"],
+        ["wilson", *closed],
+        ["evolve", *closed, "--state", "2a", "--t", "1", "--steps", "5"],
+        ["emit-circuit", *closed, "--dt", "0.1", "--emit-qasm", str(tmp_path / "elsewhere.qasm")],
+    ]
+    for n, argv in enumerate(runs):
+        folder = tmp_path / f"run{n}"
+        folder.mkdir()
+        before = set(tmp_path.rglob("*"))
+        assert main([*argv, "--out", str(folder / "r")]) == 0
+        written = {p for p in set(tmp_path.rglob("*")) - before if p.name != "r.manifest.json"}
+        manifest = json.loads((folder / "r.manifest.json").read_text())
+        assert set(manifest["outputs"]) == {p.name for p in written}, argv
+        for p in written:
+            assert manifest["outputs"][p.name] == hashlib.sha256(p.read_bytes()).hexdigest()
+            if p.suffix != ".csv":
+                continue
+            for line in p.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    if not cell.lstrip("-").isdigit() and _is_float(cell):
+                        assert repr(float(cell)) == cell, (p.name, cell)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True

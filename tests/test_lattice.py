@@ -111,3 +111,14 @@ def test_config_rejects_unknown_keys():
     # a misspelled "bc" must not fall back to periodic
     with pytest.raises(ValueError, match="unknown config keys: bcc"):
         LatticeConfig.from_dict({"nx": 2, "ny": 2, "bcc": "closed", "lambda": 1.0})
+
+
+@pytest.mark.parametrize("d, words", [
+    ([2, 2, "periodic", 1.0], "JSON object, got list"),
+    ({"ny": 2, "bc": "closed"}, "missing config keys: nx, lambda"),
+])
+def test_config_rejects_malformed(d, words):
+    # a config that is not an object or lacks a required key fails with a
+    # ValueError naming the problem, not a TypeError or KeyError
+    with pytest.raises(ValueError, match=words):
+        LatticeConfig.from_dict(d)

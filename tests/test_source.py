@@ -69,6 +69,18 @@ def test_oracle_is_independent():
     assert not found, f"oracle.py imports beyond lattice and the spin Hamiltonian: {found}"
 
 
+def test_one_output_path():
+    # commands return the paths they wrote; main alone loads the config and
+    # writes the manifest over those paths
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {(path.name, fn.name, name) for node in ast.walk(fn)
+                            for name in ("_load_config", "_write_manifest") if _calls(node, name)}
+    assert callers == {("cli.py", "main", "_load_config"), ("cli.py", "main", "_write_manifest")}, callers
+
+
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return (getattr(func, "id", None) or getattr(func, "attr", None)) == name
