@@ -250,40 +250,39 @@ def emit_trotter_circuit(cfg: LatticeConfig, dt: float, steps: int) -> Circuit:
 # Statevector verification
 # ---------------------------------------------------------------------------
 
-VERIFY_MAX_QUBITS = 12
+VERIFY_MAX_QUBITS = 16
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def apply_circuit(circ: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Run the gate list on a dense statevector (qubit q = bit q)."""
-    n = circ.n_qubits
-    psi = np.asarray(psi, dtype=complex).copy()
-    dim = 1 << n
-    if psi.shape != (dim,):
+    """Run the gate list on a dense statevector (qubit q = bit q), or on each
+    column of a (2^n, k) block of them; returns a new array of psi's shape.
+    Each gate writes in place into a view of the block with the target bit
+    q on axis 1; cx swaps the target halves where its control bit is set."""
+    dim = 1 << circ.n_qubits
+    out = np.array(psi, dtype=complex)
+    if out.ndim not in (1, 2) or out.shape[0] != dim:
         raise ValueError(f"statevector must have length {dim}")
-    idx = np.arange(dim)
+    k = out.size // dim
     for g in circ.gates:
+        q = g.qubits[-1]
         if g.name == "h":
-            q = g.qubits[0]
-            v = psi.reshape(-1, 2, 1 << q)
-            v0 = v[:, 0, :].copy()
-            v1 = v[:, 1, :].copy()
-            v[:, 0, :] = (v0 + v1) * _INV_SQRT2
-            v[:, 1, :] = (v0 - v1) * _INV_SQRT2
+            v = out.reshape(-1, 2, 1 << q, k)
+            a, b = v[:, 0], v[:, 1]
+            a[...], b[...] = (a + b) * _INV_SQRT2, (a - b) * _INV_SQRT2
         elif g.name == "cx":
-            c, t = g.qubits
-            ctrl_on = ((idx >> c) & 1) == 1
-            src = np.where(ctrl_on, idx ^ (1 << t), idx)
-            psi = psi[src]
+            c = g.qubits[0]
+            v = out.reshape(-1, 2, 1 << (abs(c - q) - 1), 2, 1 << min(c, q), k)
+            off, on = (v[:, 1, :, 0] if c > q else v[:, 0, :, 1]), v[:, 1, :, 1]
+            off[...], on[...] = on, off.copy()  # off is overwritten first, so only it is copied
         elif g.name == "rz":
-            q = g.qubits[0]
-            half = g.angle / 2.0
-            bit_clear = ((idx >> q) & 1) == 0
-            psi = psi * np.where(bit_clear, np.exp(-1j * half), np.exp(1j * half))
+            v = out.reshape(-1, 2, 1 << q, k)
+            v[:, 0] *= np.exp(-1j * (g.angle / 2.0))
+            v[:, 1] *= np.exp(1j * (g.angle / 2.0))
         else:
             raise ValueError(f"unknown gate {g.name}")
-    return psi.reshape(dim)
+    return out
 
 
 def _probe_states(n: int) -> np.ndarray:
@@ -312,8 +311,7 @@ def verify_circuit(circ: Circuit, cfg: LatticeConfig, dt: float) -> float:
     probes = _probe_states(n)
     exact_states = evolve(ham, StateVector(probes, ham.label), dt).amplitudes
     worst = 0.0
-    for probe, exact in zip(probes.T, exact_states.T):
-        approx = apply_circuit(circ, probe)
+    for approx, exact in zip(apply_circuit(circ, probes).T, exact_states.T):
         ov = np.vdot(exact, approx)
         align = ov / abs(ov) if abs(ov) > 0 else 1.0
         worst = max(worst, float(np.linalg.norm(approx - align * exact)))

@@ -92,10 +92,11 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _wilson_operators(cfg: LatticeConfig):
-    """O1 and O2 at the origin; O2 is None on a single-row closed lattice,
-    where the 2-plaquette loop has no placement."""
+    """O1 and O2 at the origin; O2 is None where the 2-plaquette loop is not
+    defined: a closed lattice needs a second row for the partner plaquette,
+    and a periodic one ny >= 3 to keep the eight-plaquette chain off the loop."""
     o1 = wilson1_operator(cfg, (0, 0))
-    return o1, (wilson2_operator(cfg, (0, 0)) if cfg.periodic or cfg.ny >= 2 else None)
+    return o1, (wilson2_operator(cfg, (0, 0)) if cfg.ny >= (3 if cfg.periodic else 2) else None)
 
 
 # Every command takes (cfg, args) and returns (exit code, paths written);
@@ -152,12 +153,15 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     spec = diagonalize(op, mode="lowest", k=1)
     gs = spec.eigenvectors[:, 0]
     rows = [("ground_energy", float(spec.eigenvalues[0]))]
-    for name, o in zip(("o1", "o2"), _wilson_operators(cfg)):
+    ops = _wilson_operators(cfg)
+    for name, o in zip(("o1", "o2"), ops):
         if o is not None:
             rows.append((f"{name}_expectation", float(np.real(np.vdot(gs, o @ gs)))))
     paths = [_write_csv(args.out + ".wilson.csv", "observable,value", rows)]
     if args.blocks:
-        for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):
+        for name, make, o in zip(("o1", "o2"), (wilson1_block, wilson2_block), ops):
+            if o is None:
+                continue
             block = make(*sectors).toarray()
             rows = ((r, c, re, im) for r, row in enumerate(block)
                     for c, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist())))

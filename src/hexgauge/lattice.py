@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 
 class BoundaryCondition(Enum):
@@ -85,6 +86,11 @@ class LatticeConfig:
         unknown = sorted(set(d) - {"nx", "ny", "bc", "lambda"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, kind, what in (("nx", Integral, "an integer"), ("ny", Integral, "an integer"),
+                                ("lambda", Real, "a real number")):
+            # bool is an Integral too, and JSON true would otherwise read as 1
+            if isinstance(d[key], bool) or not isinstance(d[key], kind):
+                raise ValueError(f"config key {key} must be {what}, got {d[key]!r}")
         return cls(
             nx=int(d["nx"]),
             ny=int(d["ny"]),

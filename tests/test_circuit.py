@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from reference import c_value, closed_diagonal, evaluate_expansion
 
+import hexgauge.circuit
 from hexgauge.circuit import (
     Circuit,
     _expand_exact,
@@ -214,6 +216,93 @@ def test_statevector_gates():
     out = apply_circuit(circ, psi)
     assert out[0] == pytest.approx(np.exp(-0.5j) / math.sqrt(2))
     assert out[1] == pytest.approx(np.exp(0.5j) / math.sqrt(2))
+
+
+def _loop_gate(name, qubits, angle, psi):
+    """One gate by an explicit loop over basis states (rows of psi)."""
+    out = np.zeros_like(psi)
+    for s in range(len(psi)):
+        if name == "h":
+            q = qubits[0]
+            s0, sign = s & ~(1 << q), 1 - 2 * ((s >> q) & 1)
+            out[s] = (psi[s0] + sign * psi[s0 | (1 << q)]) / math.sqrt(2)
+        elif name == "cx":
+            c, t = qubits
+            out[s ^ (((s >> c) & 1) << t)] = psi[s]
+        else:
+            out[s] = psi[s] * cmath.exp((1j if (s >> qubits[0]) & 1 else -1j) * angle / 2)
+    return out
+
+
+def _random_states(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_apply_circuit_gates_match_basis_loops(n):
+    # every gate on every qubit, and cx on every ordered pair (control above
+    # and below the target), against the explicit loop over basis states
+    rng = np.random.default_rng(n)
+    gates = [("h", (q,), None) for q in range(n)]
+    gates += [("rz", (q,), angle) for q in range(n) for angle in (0.7, -2.3)]
+    gates += [("cx", (c, t), None) for c in range(n) for t in range(n) if c != t]
+    for name, qubits, angle in gates:
+        circ = Circuit(n)
+        getattr(circ, name)(*qubits, *([angle] if angle is not None else []))
+        for shape in ((1 << n,), (1 << n, 3)):
+            psi = _random_states(rng, shape)
+            out = apply_circuit(circ, psi)
+            assert out.shape == shape
+            assert np.max(np.abs(out - _loop_gate(name, qubits, angle, psi))) < 1e-14, (name, qubits)
+
+
+def _random_circuit(rng, n, length):
+    circ = Circuit(n)
+    for _ in range(length):
+        kind = rng.integers(3)
+        if kind == 0:
+            circ.h(int(rng.integers(n)))
+        elif kind == 1:
+            circ.rz(int(rng.integers(n)), float(rng.normal()))
+        else:
+            c, t = rng.choice(n, size=2, replace=False)
+            circ.cx(int(c), int(t))
+    return circ
+
+
+def test_apply_circuit_block_matches_columns():
+    # a (2^n, k) block gives what the circuit gives column by column, the
+    # whole circuit matches the gate-by-gate loops, and the input is untouched
+    rng = np.random.default_rng(7)
+    circ = _random_circuit(rng, 4, 60)
+    block = _random_states(rng, (16, 5))
+    saved = block.copy()
+    out = apply_circuit(circ, block)
+    assert np.array_equal(block, saved)
+    assert np.array_equal(out, np.column_stack([apply_circuit(circ, col) for col in block.T]))
+    ref = block
+    for g in circ.gates:
+        ref = _loop_gate(g.name, g.qubits, g.angle, ref)
+    assert np.max(np.abs(out - ref)) < 1e-12
+    with pytest.raises(ValueError, match="length 16"):
+        apply_circuit(circ, np.zeros(8))
+    with pytest.raises(ValueError, match="length 16"):
+        apply_circuit(circ, np.zeros((16, 2, 2)))
+
+
+def test_verify_applies_the_circuit_once(monkeypatch):
+    # the probe block goes through the gate list in one call
+    calls = []
+
+    def counting(circ, psi):
+        calls.append(np.shape(psi))
+        return apply_circuit(circ, psi)
+
+    monkeypatch.setattr(hexgauge.circuit, "apply_circuit", counting)
+    for nx, ny in ((2, 2), (1, 7)):
+        cfg = LatticeConfig(nx, ny, C, 1.0)
+        verify_circuit(emit_trotter_step(cfg, 0.05), cfg, 0.05)
+    assert calls == [(16, 16), (128, 3)]
 
 
 def test_qasm_gate_lines():

@@ -94,10 +94,32 @@ def test_evolve_energy_conservation(tmp_path):
     data = [[float(x) for x in r.split(",")] for r in rows[1:]]
     assert len(data) == 21
     assert data[0][0] == 0.0
-    # t = 0 row: vacuum expectations vanish, energy is the vacuum diagonal
-    assert abs(data[0][1]) < 1e-12 and abs(data[0][2]) < 1e-12
+    # t = 0 row: the vacuum <O1> vanishes, energy is the vacuum diagonal; O2
+    # is not defined on periodic 2x2, where its chain wraps onto the loop
+    assert abs(data[0][1]) < 1e-12 and all(math.isnan(row[2]) for row in data)
     energies = [row[3] for row in data]
     assert max(energies) - min(energies) < 1e-8 * max(1.0, abs(energies[0]))
+
+
+@pytest.mark.parametrize("ny, has_o2", [(2, False), (3, True)])
+def test_wilson_o2_only_where_defined(tmp_path, ny, has_o2):
+    # on periodic ny = 2 the eight-plaquette chain of O2 wraps onto the loop
+    # (O2 is not Hermitian there), so neither its expectation nor its block is written
+    out = str(tmp_path / "w")
+    assert main(["wilson", "--nx", "2", "--ny", str(ny), "--blocks", "--out", out]) == 0
+    names = [r.split(",")[0] for r in (tmp_path / "w.wilson.csv").read_text().splitlines()[1:]]
+    assert names == ["ground_energy", "o1_expectation"] + ["o2_expectation"] * has_o2
+    assert (tmp_path / "w.o1_block.csv").exists()
+    assert (tmp_path / "w.o2_block.csv").exists() == has_o2
+
+
+@pytest.mark.parametrize("ny, has_o2", [(2, False), (3, True)])
+def test_evolve_o2_nan_where_undefined(tmp_path, ny, has_o2):
+    out = str(tmp_path / "e")
+    assert main(["evolve", "--nx", "2", "--ny", str(ny), "--state", "5", "--t", "1", "--steps", "3",
+                 "--out", out]) == 0
+    o2 = _csv_column(tmp_path / "e.evolve.csv", 2)
+    assert len(o2) == 4 and (np.all(np.isfinite(o2)) if has_o2 else np.all(np.isnan(o2)))
 
 
 def test_emit_circuit(tmp_path):
@@ -185,6 +207,21 @@ def test_errors_exit_cleanly(tmp_path, capsys):
         assert main([argv[0], "--out", out, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert words in err and "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("nx", None), ("nx", 2.7), ("nx", True), ("lambda", "1")])
+def test_config_types_checked(tmp_path, capsys, key, value):
+    # a non-integer size or a non-numeric coupling is refused by name, not
+    # truncated (2.7 -> 2), read as 1 (true) or left to a TypeError
+    d = {"nx": 2, "ny": 2, "bc": "periodic", "lambda": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"config key {key} must be"):
+        LatticeConfig.from_dict(d)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    assert main(["basis", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key}" in err and "Traceback" not in err and err.count("\n") == 1
+    assert list(tmp_path.glob("b*")) == []
 
 
 def test_manifest_records_given_argv(tmp_path):

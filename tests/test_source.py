@@ -81,6 +81,18 @@ def test_one_output_path():
     assert callers == {("cli.py", "main", "_load_config"), ("cli.py", "main", "_write_manifest")}, callers
 
 
+def test_gate_kernel_in_place():
+    # the statevector simulator writes each gate into a view of the block:
+    # no index array, no mask and no whole-vector gather
+    tree = ast.parse((SRC / "circuit.py").read_text())
+    kernel = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "apply_circuit")
+    found = [f"{node.lineno} {name}" for node in ast.walk(kernel)
+             for name in ("arange", "where", "take") if _calls(node, name)]
+    found += [f"{node.lineno} fancy index" for node in ast.walk(kernel)
+              if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Name)]
+    assert not found, f"apply_circuit builds index arrays: {found}"
+
+
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return (getattr(func, "id", None) or getattr(func, "attr", None)) == name
