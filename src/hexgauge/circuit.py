@@ -129,17 +129,26 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def h(self, q: int):
-        self.gates.append(Gate("h", (q,)))
+        self._add(Gate("h", (q,)))
 
     def cx(self, ctrl: int, tgt: int):
-        self.gates.append(Gate("cx", (ctrl, tgt)))
+        if ctrl == tgt:
+            raise ValueError(f"cx control and target are both qubit {ctrl}")
+        self._add(Gate("cx", (ctrl, tgt)))
 
     def rz(self, q: int, angle: float):
         if not math.isfinite(angle):
             raise ValueError("rz angle must be finite")
-        self.gates.append(Gate("rz", (q,), angle))
+        self._add(Gate("rz", (q,), angle))
+
+    def _add(self, gate: Gate):
+        if not all(0 <= q < self.n_qubits for q in gate.qubits):
+            raise ValueError(f"{gate.name} on qubits {gate.qubits} outside [0, {self.n_qubits})")
+        self.gates.append(gate)
 
     def extend(self, other: "Circuit"):
+        if other.n_qubits > self.n_qubits:
+            raise ValueError(f"cannot extend a {self.n_qubits}-qubit circuit by a {other.n_qubits}-qubit one")
         self.gates.extend(other.gates)
 
     def to_qasm(self) -> str:

@@ -148,7 +148,8 @@ def cmd_verify(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if args.blocks:
         # a closed lattice or a bad sector is refused here, before the solve writes anything
-        sectors = build_sector(cfg, *args.sector), build_sector(cfg, *args.sector_prime)
+        first = build_sector(cfg, *args.sector)
+        sectors = first, build_sector(cfg, *args.sector_prime, first.orbits)
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest", k=1)
     gs = spec.eigenvectors[:, 0]

@@ -4,14 +4,12 @@ Within a sector, basis vectors are the surviving orbit representatives.
 A plaquette flip maps a representative |a> onto a translate of another
 representative |b>; the translation offset (l_i, l_j) enters as a phase
 exp(-i k.l) and the norm ratio sqrt(N_b/N_a) restores unit normalization.
-All phases are assembled from reduced rational angles so they are exact
-roots of unity.  One flip loop fills every off-diagonal block: the Wilson
-loops at the origin, and the magnetic block through H_x = -sum_p O_1(p).
+Every phase is read from spinbasis.root_table, so each is an exact root of
+unity.  One flip pass fills every off-diagonal block: the Wilson loops at
+the origin, and the magnetic block through H_x = -sum_p O_1(p).
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 import scipy.sparse
@@ -19,18 +17,9 @@ import scipy.sparse
 from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz
 from .lattice import LatticeConfig
 from .observables import diagonalize
-from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, translate
-
-
-def _roots(den: int) -> np.ndarray:
-    """exp(2j*pi*m/den) for m = 0 .. den-1, each from its reduced rational
-    angle.  Quarter turns are exact (1, i, -1, -i): cmath.exp(i*pi) carries
-    an imaginary 1e-16, which would leave the k = -k blocks complex."""
-    roots = np.array([cmath.exp(2j * cmath.pi * m / den) for m in range(den)])
-    m = np.arange(den)
-    quarter = 4 * m % den == 0
-    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * m[quarter] // den]
-    return roots
+from .spinbasis import (
+    MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, root_table, translate,
+)
 
 
 def _targets(sector: MomentumSector, flipped: np.ndarray):
@@ -67,13 +56,10 @@ def hx_block(sector: MomentumSector) -> SparseOperator:
 
 
 def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
-    """J * H_zz + h_x * H_x restricted to the sector; real (float) when every
-    phase is real, as at every k = -k (k components 0 or pi)."""
+    """J * H_zz + h_x * H_x restricted to the sector; real (float64) where
+    H_x is, as at every k = -k (k components 0 or pi)."""
     lam = sector.cfg.lam
-    m = j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix
-    if not m.data.imag.any():
-        m = m.real
-    return _operator(sector, m)
+    return _operator(sector, j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix)
 
 
 def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:
@@ -93,32 +79,34 @@ def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.spa
 
 def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
                 denom: int) -> scipy.sparse.csr_matrix:
-    """The one flip loop of the sector blocks: for every translation r,
-    flip_action at plaquette -r on the representatives, relocated to
-    sector_p's representatives with phase exp(i phi) and weight
-    sqrt(N_b/N_a), and the sum divided by denom."""
+    """The one flip pass of the sector blocks: row r of each (n_plaq, dim)
+    array is translation r, flip_action at plaquette -r on the
+    representatives, relocated to sector_p's representatives with phase
+    exp(i phi) and weight sqrt(N_b/N_a), and the sum divided by denom.  The
+    block is real (float64) when every phase it stores is real."""
     cfg = sector.cfg
     if sector_p.cfg != cfg:
         raise ValueError("sectors belong to different lattices")
-    roots = _roots(cfg.n_plaq)
-    reps, cols = sector.reps, np.arange(sector.dim)
-    triplets = ([], [], [])
-    for ry in range(cfg.ny):
-        for rx in range(cfg.nx):
-            mask, amp = flip_action(cfg, reps, ((-rx) % cfg.nx, (-ry) % cfg.ny), eight)
-            row, hit, nb, (lx, ly) = _targets(sector_p, reps ^ mask)
-            # phi/(2 pi) with common denominator nx*ny
-            num = (
-                momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, rx, ry)
-                - momentum_numerator(cfg, sector.nx_q, sector.ny_q, rx, ry)
-                - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
-            )
-            vals = np.sqrt(nb / sector.norms) / denom * roots[num % cfg.n_plaq] * amp
-            for part, x in zip(triplets, (row, cols, vals)):
-                part.append(x[hit])
+    g = np.arange(cfg.n_plaq)[:, None]
+    rx, ry = g % cfg.nx, g // cfg.nx
+    masks = np.empty((cfg.n_plaq, 1), dtype=np.int64)
+    amp = np.empty((cfg.n_plaq, sector.dim))
+    for r in range(cfg.n_plaq):
+        masks[r], amp[r] = flip_action(cfg, sector.reps, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
+    row, hit, nb, (lx, ly) = _targets(sector_p, sector.reps ^ masks)
+    # phi/(2 pi) with common denominator nx*ny
+    num = (
+        momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, rx, ry)
+        - momentum_numerator(cfg, sector.nx_q, sector.ny_q, rx, ry)
+        - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
+    )
+    phase = root_table(cfg.n_plaq)[num[hit] % cfg.n_plaq]
+    if not phase.imag.any():
+        phase = phase.real
+    cols = np.broadcast_to(np.arange(sector.dim), hit.shape)[hit]
+    vals = (np.sqrt(nb / sector.norms) / denom)[hit] * phase * amp[hit]
     # entries per column vary and two translations may coincide: COO sums them
-    rows, cols, vals = map(np.concatenate, triplets)
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(sector_p.dim, sector.dim)).tocsr()
+    return scipy.sparse.coo_matrix((vals, (row[hit], cols)), shape=(sector_p.dim, sector.dim)).tocsr()
 
 
 def momentum_transform(sector: MomentumSector) -> np.ndarray:

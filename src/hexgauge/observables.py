@@ -22,6 +22,14 @@ from .spinbasis import fold, state_array
 RESIDUAL_TOL = 1e-8
 # Bytes a dense solve may take: a quarter of an 8 GB machine.
 DENSE_MAX_BYTES = 1 << 31
+# Largest |dt| * ||H||_1 of one evolution step.  expm_multiply cuts a step
+# into about |dt| * ||H||_1 / 9.9 Taylor pieces of degree 55 (9.9 is its
+# double-precision theta_55), so its work grows linearly with the product:
+# at 1e4 about 5.6e4 products with H, 0.5 s on periodic 2x2 (one core).  The
+# largest step a test or the benchmark takes is about 1e3 (periodic 3x3 to
+# t = 50 at once); a step of 1e20 would never finish, and one of 1e200
+# overflows inside scipy.
+MAX_STEP_NORM = 1e4
 
 
 @dataclass
@@ -170,10 +178,21 @@ def evolve(op: SparseOperator, psi0: StateVector, t: float) -> StateVector:
 def trajectory(op: SparseOperator, psi0: StateVector, times):
     """Yield (t, exp(-i H t)|psi0>), each a Krylov step to double precision
     from the previous time (psi0 at t = 0); times may repeat or run backward.
-    psi0 may be a (dim, n) block with one state per column."""
-    gen = -1j * op.matrix
+    psi0 may be a (dim, n) block with one state per column.  A step with
+    |dt| * ||H||_1 over MAX_STEP_NORM is refused before the first one runs."""
+    times = np.asarray(times, dtype=float)
+    step = float(np.abs(np.diff(times, prepend=0.0)).max(initial=0.0))
+    norm = float(scipy.sparse.linalg.norm(op.matrix, 1))
+    # NaN fails the comparison and is refused with the rest
+    if not step * norm <= MAX_STEP_NORM:
+        raise ValueError(f"time step {step:.3g} times ||H||_1 = {norm:.3g} is over {MAX_STEP_NORM:g}: "
+                         "exp(-iHt) would not finish")
+    return _steps(-1j * op.matrix, psi0, times)
+
+
+def _steps(gen, psi0: StateVector, times: np.ndarray):
     t_prev, amps = 0.0, psi0.amplitudes
-    for t in np.asarray(times, dtype=float):
+    for t in times:
         if t != t_prev:
             amps, t_prev = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, amps), t
         yield float(t), StateVector(amps, psi0.label)

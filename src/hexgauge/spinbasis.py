@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -109,14 +110,24 @@ def momentum_numerator(cfg: LatticeConfig, nx_q: int, ny_q: int, rx, ry):
     return (nx_q * rx * cfg.ny + ny_q * ry * cfg.nx) % (cfg.nx * cfg.ny)
 
 
-def momentum_phase(cfg: LatticeConfig, nx_q: int, ny_q: int, rx: int, ry: int) -> complex:
-    """exp(-i(k_x rx + k_y ry)) for k = 2*pi*(nx_q/nx, ny_q/ny).
+@cache
+def root_table(den: int) -> np.ndarray:
+    """exp(2j*pi*m/den) for m = 0 .. den-1, read-only: the one table every
+    momentum phase is read from.  Each root comes from its reduced rational
+    angle, and the quarter turns are exact (1, i, -1, -i): cmath.exp(i*pi)
+    carries an imaginary 1e-16, which would leave the k = -k blocks complex."""
+    roots = np.array([cmath.exp(2j * cmath.pi * m / den) for m in range(den)])
+    m = np.arange(den)
+    quarter = 4 * m % den == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * m[quarter] // den]
+    roots.flags.writeable = False
+    return roots
 
-    Computed from the reduced rational angle so that all phases are exact
-    roots of unity (up to one cmath.exp rounding).
-    """
-    num = momentum_numerator(cfg, nx_q, ny_q, rx, ry)
-    return cmath.exp(-2j * cmath.pi * num / (cfg.nx * cfg.ny))
+
+def momentum_phase(cfg: LatticeConfig, nx_q: int, ny_q: int, rx, ry):
+    """exp(-i(k_x rx + k_y ry)) for k = 2*pi*(nx_q/nx, ny_q/ny), read from
+    root_table by the reduced numerator; rx and ry may be int64 arrays."""
+    return root_table(cfg.n_plaq)[-momentum_numerator(cfg, nx_q, ny_q, rx, ry) % cfg.n_plaq]
 
 
 @dataclass(eq=False)

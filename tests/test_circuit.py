@@ -320,3 +320,24 @@ def test_rz_rejects_nonfinite():
     circ = Circuit(1)
     with pytest.raises(ValueError):
         circ.rz(0, float("nan"))
+
+
+@pytest.mark.parametrize("name, qubits", [("cx", (1, 1)), ("h", (2,)), ("cx", (0, 5)), ("rz", (-1,))])
+def test_gates_reject_bad_qubits(name, qubits):
+    # a qubit outside the register, or a cx on one qubit, is refused by the
+    # builder, naming the gate, and nothing reaches the gate list
+    circ = Circuit(2)
+    args = (*qubits, 0.1) if name == "rz" else qubits
+    with pytest.raises(ValueError, match=f"^{name} "):
+        getattr(circ, name)(*args)
+    assert circ.gates == []
+
+
+def test_extend_rejects_wider_circuit():
+    # extend would otherwise carry a checked gate past the narrower register
+    wide = Circuit(5)
+    wide.h(4)
+    narrow = Circuit(2)
+    with pytest.raises(ValueError, match="5-qubit"):
+        narrow.extend(wide)
+    assert narrow.gates == []

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from hexgauge import spinbasis
 from hexgauge.cli import main
 from hexgauge.hamiltonian import build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
@@ -147,7 +149,15 @@ def test_basis_and_sectors(tmp_path):
     assert sum(s["dim"] for s in sectors) == 8
 
 
-def test_wilson_blocks(tmp_path):
+def test_wilson_blocks(tmp_path, monkeypatch):
+    # both sectors share the one orbit table
+    tables, build = [], spinbasis.build_orbit_table
+
+    def counted(cfg):
+        tables.append(build(cfg))
+        return tables[-1]
+
+    monkeypatch.setattr(spinbasis, "build_orbit_table", counted)
     cfg = _write_cfg(tmp_path)
     out = str(tmp_path / "w")
     assert main([
@@ -157,6 +167,7 @@ def test_wilson_blocks(tmp_path):
     rows = (tmp_path / "w.o1_block.csv").read_text().strip().splitlines()
     assert rows[0] == "row,col,re,im"
     assert (tmp_path / "w.wilson.csv").exists()
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,6 +218,19 @@ def test_errors_exit_cleanly(tmp_path, capsys):
         assert main([argv[0], "--out", out, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert words in err and "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t", ["1e20", "1e200", "1e300"])
+def test_evolve_refuses_unfinishable_t(tmp_path, capsys, t):
+    # a finite --t whose steps exp(-iHt) cannot take is refused up front,
+    # not run for hours, overflowed to NaN or left to a traceback
+    out = str(tmp_path / "e")
+    start = time.perf_counter()
+    assert main(["evolve", "--t", t, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "would not finish" in err and "Traceback" not in err and err.count("\n") == 1
+    assert list(tmp_path.glob("e*")) == []
 
 
 @pytest.mark.parametrize("key, value", [("nx", None), ("nx", 2.7), ("nx", True), ("lambda", "1")])

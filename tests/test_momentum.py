@@ -228,24 +228,27 @@ def test_blocks_match_scalar_loops(nx, ny):
 def test_k0_hamiltonian_block_real(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
     sector = build_sector(cfg, 0, 0)
+    # every phase at k = 0 is 1, so the blocks are stored real
     for block in (hamiltonian_block(sector).matrix, hx_block(sector).matrix,
                   wilson1_block(sector, sector), wilson2_block(sector, sector)):
-        assert scipy.sparse.issparse(block)
+        assert scipy.sparse.issparse(block) and block.dtype == np.float64
     real = hamiltonian_block(sector).to_dense()
-    assert real.dtype == np.float64
     lam = cfg.lam
-    full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * hx_block(sector).to_dense()
+    # the scalar reference keeps every phase complex
+    full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * ref_hx_block(sector, sweep_orbits(cfg)[1])
     assert full.dtype == np.complex128
     assert np.max(np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(full))) < 1e-10
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 3), (2, 4), (4, 4)])
 def test_self_conjugate_blocks_real(nx, ny):
-    # at k = -k every phase is +-1 exactly, so the block is stored real
+    # at k = -k every phase is +-1 exactly, so the blocks are stored real
     cfg = LatticeConfig(nx, ny, P, 1.0)
     for sector in all_sectors(cfg):
         self_conjugate = (2 * sector.nx_q) % nx == 0 and (2 * sector.ny_q) % ny == 0
-        assert (hamiltonian_block(sector).matrix.dtype == np.float64) == self_conjugate
+        for block in (hamiltonian_block(sector).matrix, hx_block(sector).matrix,
+                      wilson1_block(sector, sector), wilson2_block(sector, sector)):
+            assert (block.dtype == np.float64) == self_conjugate
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])

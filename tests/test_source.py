@@ -42,6 +42,19 @@ def test_one_flip_kernel():
     assert inside >= 1 and len(calls) == inside, f"flip_exponent called outside flip_action: {calls}"
 
 
+def test_one_phase_table():
+    # every momentum phase is read from spinbasis.root_table: cmath.exp is
+    # called nowhere else
+    calls, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and path.name == "spinbasis.py" and node.name == "root_table":
+                inside += sum(_calls_exp(n) for n in ast.walk(node))
+            if _calls_exp(node):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert inside >= 1 and len(calls) == inside, f"cmath.exp called outside spinbasis.root_table: {calls}"
+
+
 def test_oracle_is_independent():
     # the gauge oracle certifies the spin model, so it is not built from it:
     # at module level it takes only lattice from hexgauge, and inside its
@@ -96,3 +109,8 @@ def test_gate_kernel_in_place():
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return (getattr(func, "id", None) or getattr(func, "attr", None)) == name
+
+
+def _calls_exp(node) -> bool:
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and func.attr == "exp" and getattr(func.value, "id", None) == "cmath"

@@ -18,6 +18,7 @@ from hexgauge.spinbasis import (
     fold,
     full_mask,
     momentum_phase,
+    root_table,
     state_array,
     translate,
 )
@@ -139,6 +140,20 @@ def test_momentum_phase_rational():
                     naive = cmath.exp(
                         -2j * cmath.pi * (nxq * rx / cfg.nx + nyq * ry / cfg.ny))
                     assert abs(momentum_phase(cfg, nxq, nyq, rx, ry) - naive) < 1e-12
+
+
+def test_momentum_phase_table():
+    # array arguments read the same entries as scalars, quarter turns are
+    # exact, and the one cached table is read-only
+    cfg = LatticeConfig(2, 4, P, 1.0)
+    g = np.arange(cfg.n_plaq)
+    rx, ry = g % cfg.nx, g // cfg.nx
+    for nxq in range(cfg.nx):
+        for nyq in range(cfg.ny):
+            phases = momentum_phase(cfg, nxq, nyq, rx, ry)
+            assert phases.tolist() == [momentum_phase(cfg, nxq, nyq, x, y) for x, y in zip(rx, ry)]
+            assert set(phases.tolist()) <= {1, 1j, -1, -1j}
+    assert root_table(8) is root_table(8) and not root_table(8).flags.writeable
 
 
 def test_sector_dump_shape():
