@@ -21,11 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
+from .hamiltonian import (build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz,
+                          require_nondegenerate)
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
 from .observables import StateVector, evolve
-
-COEFF_EPS = 1e-12
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -103,12 +102,9 @@ def pauli_expand(c: tuple[int, int], cfg: LatticeConfig) -> list[PauliTerm]:
     x_site = cfg.site(*c)
     terms = []
     for sites in sorted(exact, key=lambda s: (len(s), sorted(s))):
-        coeff = float(exact[sites])
-        if abs(coeff) < COEFF_EPS:
-            continue
         if fully_dynamic and len(sites) % 2:
             raise RuntimeError(f"odd z-string {sorted(sites)} on a dynamical chain")
-        terms.append(PauliTerm(coeff, x_site, frozenset(sites)))
+        terms.append(PauliTerm(float(exact[sites]), x_site, frozenset(sites)))
     return terms
 
 
@@ -206,6 +202,8 @@ def emit_diagonal_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """exp(-i H_diag dt): single-z rotations, then bond ladders.  All terms
     commute, so this piece is exact at any dt (up to the dropped
     global-phase constant)."""
+    if cfg.periodic:
+        require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     _, singles, pairs = diagonal_z_terms(cfg)
     for q in sorted(singles):
@@ -221,6 +219,8 @@ def emit_magnetic_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """Magnetic term plaquette by plaquette: Hadamard on the flip site, one
     CNOT ladder + rz per Pauli term, Hadamard back.  Terms within a
     plaquette group commute (all diagonal after the basis change)."""
+    if cfg.periodic:
+        require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     hx = h_x(cfg.lam)
     for p in range(cfg.n_plaq):

@@ -189,13 +189,13 @@ def build_periodic_full(cfg: LatticeConfig) -> SparseOperator:
     the quotient cannot be taken; the physical spectrum is the flip-even
     half of this operator's spectrum.
     """
-    _require_nondegenerate(cfg)
+    require_nondegenerate(cfg)
     return _assemble(cfg, quotient=False)
 
 
 def build_periodic(cfg: LatticeConfig) -> SparseOperator:
     """Periodic Hamiltonian on the 2^(N-1) flip-quotient basis."""
-    _require_nondegenerate(cfg)
+    require_nondegenerate(cfg)
     return _assemble(cfg, quotient=True)
 
 
@@ -206,7 +206,8 @@ def build_hamiltonian(cfg: LatticeConfig) -> SparseOperator:
     return build_periodic(cfg)
 
 
-def _require_nondegenerate(cfg: LatticeConfig):
+def require_nondegenerate(cfg: LatticeConfig):
+    """Refuse a lattice the periodic spin model does not describe."""
     if not cfg.periodic:
         raise ValueError("periodic builder requires periodic BC")
     if cfg.nx < 2 or cfg.ny < 2:

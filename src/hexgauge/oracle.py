@@ -20,7 +20,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from math import factorial
+from operator import xor
 
 import numpy as np
 
@@ -48,15 +50,11 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return abs(ta - tb) <= tc <= ta + tb
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
     """Squared triangle coefficient, exact rational; args are doubled j's."""
     return Fraction(
-        _fact((ta + tb - tc) // 2) * _fact((ta - tb + tc) // 2) * _fact((-ta + tb + tc) // 2),
-        _fact((ta + tb + tc) // 2 + 1),
+        factorial((ta + tb - tc) // 2) * factorial((ta - tb + tc) // 2) * factorial((-ta + tb + tc) // 2),
+        factorial((ta + tb + tc) // 2 + 1),
     )
 
 
@@ -78,12 +76,12 @@ def _racah_parts(j1, j2, j3, j4, j5, j6):
     tri_sums = [sum(tri) // 2 for tri in triads]
     total = Fraction(0)
     for z in range(max(tri_sums), min(quads) + 1):
-        num = _fact(z + 1)
+        num = factorial(z + 1)
         den = 1
         for ts in tri_sums:
-            den *= _fact(z - ts)
+            den *= factorial(z - ts)
         for qs in quads:
-            den *= _fact(qs - z)
+            den *= factorial(qs - z)
         total += Fraction((-1) ** z * num, den)
     return rad, total
 
@@ -207,66 +205,68 @@ def vertex_constraints(geo: GaugeGeometry) -> list[int]:
     return list(rows)
 
 
-def _gf2_nullspace(rows: list[int], n_vars: int) -> tuple[list[int], list[int]]:
-    """Basis of the GF(2) null space of the parity-check rows, and its free
-    columns: basis[i] is the one vector with bit free[i] set and no other
-    free bit, so a null-space vector's coordinates are its free bits."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = row
-        while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                break
-    # Full reduction: after this every pivot row holds its lead bit plus
-    # free columns only.
-    for lead in sorted(pivots, reverse=True):
-        for other in pivots:
-            if other != lead and (pivots[other] >> lead) & 1:
-                pivots[other] ^= pivots[lead]
-    basis, free = [], [f for f in range(n_vars) if f not in pivots]
-    for f in free:
-        vec = 1 << f
-        for lead, row in pivots.items():
-            if (row >> f) & 1:
-                vec |= 1 << lead
-        basis.append(vec)
+def _eliminate(vectors: list[int]) -> tuple[list[int], list[int]]:
+    """Ordered GF(2) elimination: the indices of the vectors independent of
+    the ones before them, and per vector its coordinates over those members."""
+    pivots: dict[int, tuple[int, int]] = {}  # lead bit -> (reduced vector, its coordinates)
+    indep, coords = [], []
+    for j, r in enumerate(vectors):
+        c = 0
+        while r and (lead := r.bit_length() - 1) in pivots:
+            r, c = r ^ pivots[lead][0], c ^ pivots[lead][1]
+        if r:  # vectors[j] is a new member, and r is it plus the members over c
+            pivots[lead], c = (r, c | 1 << len(indep)), 1 << len(indep)
+            indep.append(j)
+        coords.append(c)
+    return indep, coords
+
+
+def _combine(members: list[int], coords: int) -> int:
+    """XOR of members[i] over the set bits i of coords."""
+    return reduce(xor, (vec for i, vec in enumerate(members) if (coords >> i) & 1), 0)
+
+
+def _gf2_nullspace(rows: list[int], n_vars: int) -> list[int]:
+    """Basis of the GF(2) null space of the parity-check rows: one vector per
+    check column that is the XOR of earlier columns, setting it and those."""
+    cols = [sum(((row >> l) & 1) << r for r, row in enumerate(rows)) for l in range(n_vars)]
+    indep, coords = _eliminate(cols)
+    units = [1 << l for l in indep]
+    basis = [vec for l, c in enumerate(coords) if (vec := (1 << l) ^ _combine(units, c))]
     # Verify against every original check row; catches elimination bugs.
     for vec in basis:
         for row in rows:
             if (vec & row).bit_count() % 2:
                 raise RuntimeError(f"null-space vector {vec:#x} violates check row {row:#x}")
-    return basis, free
+    return basis
 
 
 @dataclass
 class GaugeEnumeration:
-    """Gauss-law configurations in null-space coordinates.
+    """Gauss-law configurations as coordinates over a toggle-led basis.
 
     A config is an int64 x: the XOR of basis[i] over the set bits of x, so
     every x < n_gauss is a Gauss-law state, and its link l carries j = 1/2
-    when x & link_rows[l] has odd parity.  toggles[p] holds the coordinates
-    of plaquette p's hexmask; reachable is their span in spin order:
-    reachable[s] is the XOR of the independent toggles, in plaquette order,
-    over the set bits of s.
+    when x & link_rows[l] has odd parity.  basis[:m] are the independent
+    plaquette toggles' hexmasks in plaquette order, so the vacuum-connected
+    configs are the s < n_reachable = 2^m, each toggling those at its set
+    bits.  toggles[p] holds the coordinates of plaquette p's hexmask.
     """
 
     geo: GaugeGeometry
     basis: list[int]
     link_rows: np.ndarray
     toggles: np.ndarray
-    reachable: np.ndarray
+    n_reachable: int
 
     @property
     def n_gauss(self) -> int:
         return 1 << len(self.basis)
 
     @property
-    def n_reachable(self) -> int:
-        return len(self.reachable)
+    def reachable(self) -> np.ndarray:
+        """The vacuum-connected configs, each its own index."""
+        return np.arange(self.n_reachable, dtype=np.int64)
 
     def link(self, configs: np.ndarray, l: int) -> np.ndarray:
         """Bit l of each config's link word (int64 0/1); l = -1 reads the
@@ -274,20 +274,9 @@ class GaugeEnumeration:
         return (np.bitwise_count(configs & self.link_rows[l]) & 1).astype(np.int64)
 
     def position(self, configs) -> np.ndarray:
-        """Index of each config in reachable; raises if one is not there.
-
-        Bit i is the parity against the dual row of gen_i = reachable[1 << i],
-        read off the null space of config = sum_i s_i gen_i: its free columns
-        are config bits, and s is linear in them.
-        """
-        k, gens = len(self.basis), self.reachable[1 << np.arange(self.n_reachable.bit_length() - 1)]
-        rows = [(1 << m) | sum(((int(g) >> m) & 1) << (k + i) for i, g in enumerate(gens)) for m in range(k)]
-        vecs, free = _gf2_nullspace(rows, k + len(gens))
-        pos = np.zeros_like(configs, dtype=np.int64)
-        for i in range(len(gens)):
-            dual = sum(((vec >> (k + i)) & 1) << f for vec, f in zip(vecs, free))
-            pos |= (np.bitwise_count(configs & dual) & 1).astype(np.int64) << i
-        if not np.array_equal(self.reachable[pos], configs):
+        """Index of each config in reachable, the config itself; raises if one is not there."""
+        pos = np.array(configs, dtype=np.int64)
+        if np.any((pos < 0) | (pos >= self.n_reachable)):
             raise ValueError("config outside the vacuum-connected set")
         return pos
 
@@ -295,31 +284,28 @@ class GaugeEnumeration:
 def enumerate_gauge_states(cfg: LatticeConfig) -> GaugeEnumeration:
     """All Gauss-law configurations plus the vacuum-connected subset.
 
-    The full set is the GF(2) null space of the vertex parity checks; the
-    reachable subset is the span of the single-plaquette toggles, built by
-    doubling from the vacuum.
+    The full set is the GF(2) null space of the vertex parity checks.  One
+    elimination of the plaquette toggles, then that null space, gives a basis
+    led by the independent toggles, whose span is the reachable subset.
     """
     geo = build_geometry(cfg)
     rows = vertex_constraints(geo)
-    basis, free = _gf2_nullspace(rows, geo.n_edges)
-    if len(basis) > 24:
-        raise ValueError(f"gauge null space too large to enumerate ({len(basis)} generators)")
+    null = _gf2_nullspace(rows, geo.n_edges)
+    if len(null) > 24:
+        raise ValueError(f"gauge null space too large to enumerate ({len(null)} generators)")
     for p, mask in enumerate(geo.hexmasks):
         if any((mask & row).bit_count() % 2 for row in rows):
             raise RuntimeError(f"plaquette {p} toggle violates Gauss's law")
-    link_rows = np.array(
-        [sum(1 << i for i, vec in enumerate(basis) if (vec >> l) & 1) for l in range(geo.n_edges)] + [0],
-        dtype=np.int64,
-    )
-    toggles = np.array(
-        [sum(((mask >> f) & 1) << i for i, f in enumerate(free)) for mask in geo.hexmasks],
-        dtype=np.int64,
-    )
-    reachable = np.zeros(1, dtype=np.int64)
-    for t in toggles:
-        if t not in reachable:  # a toggle inside the span maps it onto itself
-            reachable = np.concatenate([reachable, reachable ^ t])
-    return GaugeEnumeration(geo, basis, link_rows, toggles, reachable)
+    vectors = geo.hexmasks + null
+    indep, coords = _eliminate(vectors)
+    basis = [vectors[i] for i in indep]
+    for vec, c in zip(vectors, coords):
+        if c >> len(basis) or _combine(basis, c) != vec:
+            raise RuntimeError(f"coordinates {c:#x} do not give the vector {vec:#x}")
+    link_rows = [sum(((vec >> l) & 1) << i for i, vec in enumerate(basis)) for l in range(geo.n_edges)]
+    toggles = np.array(coords[:cfg.n_plaq], dtype=np.int64)
+    return GaugeEnumeration(geo, basis, np.array(link_rows + [0], dtype=np.int64), toggles,
+                            1 << sum(i < cfg.n_plaq for i in indep))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +384,8 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
     vals = np.empty(cols.shape)
     cols[:, 0] = np.arange(n)
     vals[:, 0] = electric_link_energy(cfg.lam) * n_up + 2.0 * cfg.n_plaq * hmag
-    # position is linear: toggling p takes index s to s ^ position(toggle p)
-    for p, moved in enumerate(enum.position(enum.toggles)):
+    # toggling p takes config s, its own index, to s ^ toggles[p]
+    for p, moved in enumerate(enum.toggles):
         cols[:, p + 1] = t = cols[:, 0] ^ moved
         vals[:, p + 1] = (-hmag * plaquette_element(enum, configs, p))[t]
     mat = SparseOperator.rows_csr(cols, vals)
@@ -456,11 +442,11 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     dim = spin.dim
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")
-    # Spin state s toggles its up plaquettes: reachable[s] when the first
-    # `bits` toggles are the coordinate axes.  Under periodic BC its flip
-    # partner toggles the others, the same config when all toggles XOR to 0.
+    # Spin state s toggles its up plaquettes: config s when the first `bits`
+    # toggles are the coordinate axes.  Under periodic BC its flip partner
+    # toggles the others, the same config when all toggles XOR to 0.
     bits = dim.bit_length() - 1
-    if not np.array_equal(enum.position(enum.toggles[:bits]), 1 << np.arange(bits)):
+    if not np.array_equal(enum.toggles[:bits], 1 << np.arange(bits)):
         raise ValueError("plaquette-toggle map is not a bijection")
     if cfg.periodic and np.bitwise_xor.reduce(enum.toggles) != 0:
         raise RuntimeError("flip pair of state 0x0 maps to two configs")
@@ -469,6 +455,9 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     b = ks_hamiltonian(cfg, enum).matrix
     if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
         raise ValueError("spin and gauge matrices store different entries")
+    # Entries grow like max(lam, 1/lam): allow a few ulp of the largest one.
+    top = max(max(m.data.max(initial=0), -m.data.min(initial=0)) for m in (a, b))  # no |data| copy
+    tol = max(TOL_CERT, 64 * np.finfo(float).eps * top)
 
     shift = float(np.mean(b.diagonal() - a.diagonal()))
 
@@ -490,7 +479,7 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
     np.abs(b.data, out=b.data)
     max_dev = float(b.data.max(initial=0.0))
     worst = None
-    if max_dev >= TOL_CERT:
+    if max_dev >= tol:
         k = int(np.argmax(b.data))
         worst = (int(np.searchsorted(b.indptr, k, side="right")) - 1, int(b.indices[k]))
     return CertReport(
@@ -500,7 +489,7 @@ def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -
         spin_dim=dim,
         shift=shift,
         max_deviation=max_dev,
-        passed=bool(max_dev < TOL_CERT),
+        passed=bool(max_dev < tol),
         worst_entry=worst,
         nontrivial_signs=nontrivial,
     )

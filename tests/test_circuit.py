@@ -341,3 +341,17 @@ def test_extend_rejects_wider_circuit():
     with pytest.raises(ValueError, match="5-qubit"):
         narrow.extend(wide)
     assert narrow.gates == []
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])
+def test_emitters_refuse_degenerate_periodic(nx, ny):
+    # a periodic row or column of one plaquette bonds a plaquette to itself;
+    # every emitter refuses it with the builders' message before any gate
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    for emit in (emit_diagonal_part, emit_magnetic_part, emit_trotter_step):
+        with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
+            emit(cfg, 0.1)
+    with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
+        emit_trotter_circuit(cfg, 0.1, 2)
+    # the same sizes stay allowed under closed BC
+    assert emit_trotter_step(LatticeConfig(nx, ny, C, 1.0), 0.1).gates

@@ -296,3 +296,13 @@ def _is_float(cell: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+@pytest.mark.parametrize("nx, ny", [("1", "2"), ("2", "1")])
+def test_emit_circuit_refuses_degenerate_periodic(tmp_path, capsys, nx, ny):
+    out = str(tmp_path / "c")
+    assert main(["emit-circuit", "--nx", nx, "--ny", ny, "--dt", "0.1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "periodic lattices need nx >= 2 and ny >= 2" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.glob("c*")) == []

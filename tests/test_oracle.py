@@ -391,3 +391,71 @@ def test_certify_report_json_fields():
     d = report.to_dict()
     for key in ("gauss_states", "reachable_states", "fitted_shift", "max_deviation", "passed"):
         assert key in d
+
+
+def test_enumeration_checks_elimination_coordinates(monkeypatch):
+    # a wrong coordinate from the toggle-led elimination would index a wrong
+    # config; the check against the basis members refuses it
+    import hexgauge.oracle as oracle
+
+    eliminate, calls = oracle._eliminate, []
+
+    def corrupt(vectors):
+        indep, coords = eliminate(vectors)
+        calls.append(len(vectors))
+        if len(calls) == 2:  # the toggles and the null space, not the check columns
+            coords[-1] ^= 1
+        return indep, coords
+
+    monkeypatch.setattr(oracle, "_eliminate", corrupt)
+    with pytest.raises(RuntimeError, match="coordinates"):
+        enumerate_gauge_states(LatticeConfig(2, 3, P, 1.0))
+
+
+def _independent_toggles(geo):
+    """Plaquettes whose hexmask is outside the span of the earlier kept ones."""
+    span, kept = {0}, []
+    for p, mask in enumerate(geo.hexmasks):
+        if mask not in span:
+            kept.append(p)
+            span |= {w ^ mask for w in span}
+    return kept
+
+
+@pytest.mark.parametrize("nx,ny,bc", [(2, 3, C), (3, 3, C), (2, 2, P), (3, 4, P)])
+def test_basis_led_by_independent_toggles(nx, ny, bc):
+    # basis[:m] are the independent toggles' hexmasks in plaquette order, so
+    # the vacuum-connected configs are the integers below n_reachable
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    enum = enumerate_gauge_states(cfg)
+    kept = _independent_toggles(enum.geo)
+    assert enum.n_reachable == 1 << len(kept)
+    assert enum.basis[:len(kept)] == [enum.geo.hexmasks[p] for p in kept]
+    assert np.array_equal(enum.reachable, np.arange(enum.n_reachable))
+    assert np.all(enum.toggles < enum.n_reachable)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_last_periodic_toggle_is_all_others(nx, ny):
+    # on a torus the toggles XOR to zero: the last one is all of the others
+    enum = enumerate_gauge_states(LatticeConfig(nx, ny, P, 1.0))
+    assert enum.toggles[-1] == enum.n_reachable - 1
+
+
+def test_position_is_a_range_check():
+    enum = enumerate_gauge_states(LatticeConfig(2, 3, C, 1.0))
+    assert np.array_equal(enum.position(enum.reachable), enum.reachable)
+    for bad in (-1, enum.n_reachable):
+        with pytest.raises(ValueError, match="outside the vacuum-connected set"):
+            enum.position(np.array([0, bad]))
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e5, 1e8])
+@pytest.mark.parametrize("nx,ny,bc", [(3, 4, P), (2, 5, C), (4, 4, P)])
+def test_certify_bound_scales_with_entries(nx, ny, bc, lam):
+    # entries grow like max(lam, 1/lam), and a correct model deviates by a
+    # few ulp of the largest: it passes, and a 1e-3 corruption still fails
+    cfg = LatticeConfig(nx, ny, bc, lam)
+    assert certify_isomorphism(cfg).passed
+    bad = certify_isomorphism(cfg, perturbation=1e-3)
+    assert not bad.passed and bad.worst_entry is not None
