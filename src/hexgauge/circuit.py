@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonian import (build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz,
-                          require_nondegenerate)
-from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
+from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
+from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, require_nondegenerate
 from .observables import StateVector, evolve
 
 HALF = Fraction(1, 2)
@@ -202,8 +201,7 @@ def emit_diagonal_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """exp(-i H_diag dt): single-z rotations, then bond ladders.  All terms
     commute, so this piece is exact at any dt (up to the dropped
     global-phase constant)."""
-    if cfg.periodic:
-        require_nondegenerate(cfg)
+    require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     _, singles, pairs = diagonal_z_terms(cfg)
     for q in sorted(singles):
@@ -219,8 +217,7 @@ def emit_magnetic_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """Magnetic term plaquette by plaquette: Hadamard on the flip site, one
     CNOT ladder + rz per Pauli term, Hadamard back.  Terms within a
     plaquette group commute (all diagonal after the basis change)."""
-    if cfg.periodic:
-        require_nondegenerate(cfg)
+    require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     hx = h_x(cfg.lam)
     for p in range(cfg.n_plaq):

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .circuit import emit_trotter_circuit, emit_trotter_step, verify_circuit, VERIFY_MAX_QUBITS
 from .hamiltonian import build_hamiltonian
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
 from .observables import (
     basis_state,
@@ -125,6 +125,7 @@ def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
+    require_nondegenerate(cfg)
     # the basis is 0 .. dim-1 (state_array), so the words come from a range
     dim = len(state_array(cfg, cfg.periodic))
     dump = {"config": cfg.to_dict(), "dim": dim, "states_hex": [format(s, "x") for s in range(dim)]}
@@ -139,7 +140,7 @@ def cmd_sectors(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_verify(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
-    report = certify_isomorphism(cfg, perturbation=(0.001 if args.corrupt else None))
+    report = certify_isomorphism(cfg)
     path = _write_json(args.out + ".verify.json", report.to_dict())
     print(report.to_json())
     return (0 if report.passed else 1), [path]
@@ -151,7 +152,7 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
         first = build_sector(cfg, *args.sector)
         sectors = first, build_sector(cfg, *args.sector_prime, first.orbits)
     op = build_hamiltonian(cfg)
-    spec = diagonalize(op, mode="lowest", k=1)
+    spec = diagonalize(op, mode="lowest")
     gs = spec.eigenvectors[:, 0]
     rows = [("ground_energy", float(spec.eigenvalues[0]))]
     ops = _wilson_operators(cfg)
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify the spin model against the gauge oracle")
     _add_common(p)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("wilson", help="Wilson loop expectations and momentum blocks")

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .lattice import BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6, neighbor_chain8
+from .lattice import (BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6, neighbor_chain8,
+                      require_nondegenerate)
 from .spinbasis import fold, state_array
 
 SQRT3 = math.sqrt(3.0)
@@ -189,13 +190,13 @@ def build_periodic_full(cfg: LatticeConfig) -> SparseOperator:
     the quotient cannot be taken; the physical spectrum is the flip-even
     half of this operator's spectrum.
     """
-    require_nondegenerate(cfg)
+    _require_periodic(cfg)
     return _assemble(cfg, quotient=False)
 
 
 def build_periodic(cfg: LatticeConfig) -> SparseOperator:
     """Periodic Hamiltonian on the 2^(N-1) flip-quotient basis."""
-    require_nondegenerate(cfg)
+    _require_periodic(cfg)
     return _assemble(cfg, quotient=True)
 
 
@@ -206,14 +207,10 @@ def build_hamiltonian(cfg: LatticeConfig) -> SparseOperator:
     return build_periodic(cfg)
 
 
-def require_nondegenerate(cfg: LatticeConfig):
-    """Refuse a lattice the periodic spin model does not describe."""
+def _require_periodic(cfg: LatticeConfig):
     if not cfg.periodic:
         raise ValueError("periodic builder requires periodic BC")
-    if cfg.nx < 2 or cfg.ny < 2:
-        # With nx or ny = 1 a plaquette appears in its own neighbor chain
-        # and the flip term stops being a symmetric operator.
-        raise ValueError("periodic lattices need nx >= 2 and ny >= 2")
+    require_nondegenerate(cfg)
 
 
 def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:

@@ -102,6 +102,14 @@ class LatticeConfig:
         return {"nx": self.nx, "ny": self.ny, "bc": self.bc.value, "lambda": self.lam}
 
 
+def require_nondegenerate(cfg: LatticeConfig):
+    """Refuse a periodic lattice the spin model does not describe."""
+    if cfg.periodic and (cfg.nx < 2 or cfg.ny < 2):
+        # With nx or ny = 1 a plaquette appears in its own neighbor chain
+        # and the flip term stops being a symmetric operator.
+        raise ValueError("periodic lattices need nx >= 2 and ny >= 2")
+
+
 def resolve(cfg: LatticeConfig, i: int, j: int):
     """Map a raw coordinate to a lattice coordinate or OUTSIDE (closed BC)."""
     if cfg.periodic:

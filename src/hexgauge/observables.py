@@ -92,14 +92,13 @@ class Spectrum:
         return float(np.max(np.linalg.norm(r, axis=0)))
 
 
-def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: bool = True) -> Spectrum:
+def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) -> Spectrum:
     """Eigenvalues (ascending) of a Hermitian operator.
 
     mode "full": dense diagonalization, allowed while its estimated peak
     memory stays within DENSE_MAX_BYTES.
-    mode "lowest": k extremal (smallest-algebraic) eigenpairs, iterative,
-    with 1 <= k < dim and a fixed pseudo-random start vector, so repeated
-    solves return the same eigenvalues.
+    mode "lowest": the lowest eigenpair, iterative, with a fixed
+    pseudo-random start vector, so repeated solves return the same one.
     """
     if mode == "full":
         # numpy's eigvalsh peaks near 2.4 dense copies (the matrix and
@@ -114,17 +113,18 @@ def diagonalize(op: SparseOperator, mode: str = "full", k: int = 6, vectors: boo
         else:
             vals, vecs = np.linalg.eigvalsh(op.to_dense()), None
     elif mode == "lowest":
-        if not 1 <= k < op.dim:
-            raise ValueError(f"k must satisfy 1 <= k < dim = {op.dim}, got {k}")
+        # ARPACK takes k < dim eigenpairs of a real operator, k < dim - 1 of a complex one
+        kind, least = ("complex", 3) if np.iscomplexobj(op.matrix) else ("real", 2)
+        if op.dim < least:
+            raise ValueError(f"mode='lowest' needs dimension >= {least} for a {kind} operator, "
+                             f"got dimension {op.dim}; use mode='full'")
         # ARPACK's own start distribution, seeded; a structured vector such
         # as all ones lies in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=k, which="SA", v0=v0)
+            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise RuntimeError(f"eigensolver did not converge: {err}") from err
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
         if not vectors:
             vecs = None
     else:

@@ -273,13 +273,6 @@ class GaugeEnumeration:
         trailing 0 row, the fixed j = 0 of an outside link."""
         return (np.bitwise_count(configs & self.link_rows[l]) & 1).astype(np.int64)
 
-    def position(self, configs) -> np.ndarray:
-        """Index of each config in reachable, the config itself; raises if one is not there."""
-        pos = np.array(configs, dtype=np.int64)
-        if np.any((pos < 0) | (pos >= self.n_reachable)):
-            raise ValueError("config outside the vacuum-connected set")
-        return pos
-
 
 def enumerate_gauge_states(cfg: LatticeConfig) -> GaugeEnumeration:
     """All Gauss-law configurations plus the vacuum-connected subset.
@@ -424,21 +417,17 @@ class CertReport:
 TOL_CERT = 1e-10
 
 
-def certify_isomorphism(cfg: LatticeConfig, perturbation: float | None = None) -> CertReport:
+def certify_isomorphism(cfg: LatticeConfig) -> CertReport:
     """Certify that the spin model reproduces the gauge-basis Hamiltonian.
 
     Maps each spin basis state to the gauge config obtained by toggling its
     up plaquettes, then compares matrices entrywise allowing one uniform
     diagonal shift and a per-state sign gauge (fitted, expected trivial).
-    `perturbation` is a fault-injection hook: it is added to the stored
-    (0, 1) entry of the spin matrix so tests can see a located failure.
     """
     from .hamiltonian import build_hamiltonian
 
     enum = enumerate_gauge_states(cfg)
     spin = build_hamiltonian(cfg)
-    if perturbation:
-        spin.matrix[0, 1] += perturbation  # a stored entry: changed in place
     dim = spin.dim
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")

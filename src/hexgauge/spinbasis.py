@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, require_nondegenerate
 
 # Hard cap so a careless config cannot try to materialize gigabytes of states.
 MAX_BITS = 22
@@ -171,8 +171,7 @@ def build_sector(
     """
     if not cfg.periodic:
         raise ValueError("momentum sectors require periodic BC")
-    if cfg.nx < 2 or cfg.ny < 2:
-        raise ValueError("momentum features need nx >= 2 and ny >= 2")
+    require_nondegenerate(cfg)
     if not (0 <= nx_q < cfg.nx and 0 <= ny_q < cfg.ny):
         raise ValueError(f"momentum ({nx_q},{ny_q}) out of range for {cfg.nx}x{cfg.ny}")
     if orbits is None:

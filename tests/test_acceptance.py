@@ -102,9 +102,7 @@ def test_criterion_3_coefficient_identities():
         # independently from oracle electric energies
         enum = enumerate_gauge_states(cfg)
         ks = ks_hamiltonian(cfg, enum)
-        gvac = enum.position(0)
-        g1 = enum.position(enum.toggles[0])
-        g2 = enum.position(enum.toggles[0] ^ enum.toggles[3])
+        gvac, g1, g2 = 0, enum.toggles[0], enum.toggles[0] ^ enum.toggles[3]  # configs index themselves
         worst = max(worst, abs(ks.matrix[g1, g1] - ks.matrix[gvac, gvac] - 27 * SQRT3 / 8 * lam))
         worst = max(worst, abs(ks.matrix[g2, g2] - ks.matrix[gvac, gvac] - 45 * SQRT3 / 8 * lam))
         worst = max(worst, abs(6 * electric_link_energy(lam) - h_plus(lam)))
@@ -127,7 +125,7 @@ def test_criterion_4_vertex_algebra():
         plaq = np.zeros((n, n))
         for p, t in enumerate(enum.toggles):
             val = plaquette_element(enum, enum.reachable, p)  # the table checks Im = 0
-            np.add.at(plaq, (enum.position(enum.reachable ^ t), np.arange(n)), val)
+            np.add.at(plaq, (enum.reachable ^ t, np.arange(n)), val)
         assert np.array_equal(plaq, plaq.T)
     _report(4, True, "vertex elements exactly (-i, -i, -i, i/2); plaquette matrices real symmetric")
 

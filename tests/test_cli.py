@@ -72,12 +72,13 @@ def test_outputs_byte_stable(tmp_path):
     assert m1["outputs"]["a.spectrum.csv"] == m2["outputs"]["b.spectrum.csv"]
 
 
-def test_verify_pass_and_corrupt(tmp_path):
+def test_verify_pass_and_corrupt(tmp_path, perturb_spin):
     cfg = _write_cfg(tmp_path)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     report = json.loads((tmp_path / "v.verify.json").read_text())
     assert report["passed"] and report["max_deviation"] < 1e-10
-    assert main(["verify", "--config", cfg, "--corrupt", "--out", str(tmp_path / "vc")]) == 1
+    perturb_spin(1e-3)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "vc")]) == 1
     bad = json.loads((tmp_path / "vc.verify.json").read_text())
     assert not bad["passed"] and bad["worst_entry"] is not None
 
@@ -306,3 +307,23 @@ def test_emit_circuit_refuses_degenerate_periodic(tmp_path, capsys, nx, ny):
     assert "periodic lattices need nx >= 2 and ny >= 2" in err and "Traceback" not in err
     assert err.count("\n") == 1
     assert list(tmp_path.glob("c*")) == []
+
+
+@pytest.mark.parametrize("nx, ny", [("1", "3"), ("3", "1")])
+def test_basis_refuses_degenerate_periodic(tmp_path, capsys, nx, ny):
+    # the same lattice check, and message, as every other command
+    out = str(tmp_path / "b")
+    assert main(["basis", "--nx", nx, "--ny", ny, "--bc", "periodic", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "periodic lattices need nx >= 2 and ny >= 2" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.glob("b*")) == []
+
+
+def test_verify_has_no_fault_flag(tmp_path, capsys):
+    # a failed certificate is a test's monkeypatch, not a hidden CLI option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corrupt", "--out", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

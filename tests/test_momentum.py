@@ -253,13 +253,13 @@ def test_self_conjugate_blocks_real(nx, ny):
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])
 def test_lowest_mode_on_complex_blocks(nx, ny):
-    # the extremal solver keeps the phases of k != 0 blocks
+    # the lowest-eigenpair solve keeps the phases of k != 0 blocks
     cfg = LatticeConfig(nx, ny, P, 1.0)
     for sector in all_sectors(cfg)[1:]:
         block = hamiltonian_block(sector)
         full = diagonalize(block, vectors=False).eigenvalues
-        low = diagonalize(block, mode="lowest", k=2).eigenvalues
-        assert np.max(np.abs(low - full[:2])) < 1e-10
+        low = diagonalize(block, mode="lowest").eigenvalues
+        assert low.shape == (1,) and abs(low[0] - full.min()) < 1e-10
         assert block.label == f"sector({sector.nx_q}, {sector.ny_q}):{nx}x{ny}"
 
 

@@ -44,18 +44,22 @@ def test_diagonalize_residuals():
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     # the residual the solve checked is kept, in both modes, and only with vectors
     assert spec.residual == spec.check_residuals(op)
-    low = diagonalize(op, mode="lowest", k=2)
+    low = diagonalize(op, mode="lowest")
+    assert low.eigenvalues.shape == (1,) and low.eigenvectors.shape == (op.dim, 1)
     assert low.residual == low.check_residuals(op) < 1e-8
     assert diagonalize(op, vectors=False).residual is None
-    assert diagonalize(op, mode="lowest", k=2, vectors=False).residual is None
+    quiet = diagonalize(op, mode="lowest", vectors=False)
+    assert quiet.eigenvectors is None and quiet.residual is None
 
 
 def test_lowest_mode_matches_full():
-    cfg = LatticeConfig(3, 3, P, 1.0)
-    op = build_periodic(cfg)
-    full = diagonalize(op, vectors=False)
-    low = diagonalize(op, mode="lowest", k=4)
-    assert np.allclose(low.eigenvalues, full.eigenvalues[:4], atol=1e-8)
+    # the one eigenpair is the bottom of the dense spectrum
+    for bc, build in ((P, build_periodic), (C, build_closed)):
+        op = build(LatticeConfig(3, 3, bc, 1.0))
+        full = diagonalize(op, vectors=False).eigenvalues
+        low = diagonalize(op, mode="lowest").eigenvalues
+        assert low.shape == (1,)
+        assert abs(low[0] - full.min()) < 1e-10
 
 
 @pytest.mark.parametrize("bc", [P, C])
@@ -63,7 +67,7 @@ def test_eigenvector_shares_basis_state_label(bc):
     # the assembler and basis_state tag the same basis with the same label
     cfg = LatticeConfig(3, 3, bc, 1.0)
     op = build_periodic(cfg) if bc is P else build_closed(cfg)
-    spec = diagonalize(op, mode="lowest", k=1)
+    spec = diagonalize(op, mode="lowest")
     gs = StateVector(spec.eigenvectors[:, 0], op.label)
     assert abs(gs.overlap(basis_state(cfg, 0))) > 0.1
     assert op.label == f"{'periodic-quotient' if bc is P else 'closed-full'}:3x3"
@@ -248,11 +252,18 @@ def test_level_spacing_sector_resolved():
     assert r00.shape == (3,)
 
 
-@pytest.mark.parametrize("k", [0, -1, 8, 9])
-def test_lowest_mode_rejects_bad_k(k):
-    op = build_periodic(LatticeConfig(2, 2, P, 1.0))  # dim 8
-    with pytest.raises(ValueError, match="k must satisfy"):
-        diagonalize(op, mode="lowest", k=k)
+def test_lowest_mode_refuses_tiny_operators():
+    # ARPACK cannot take one eigenpair of a real dim-1 or a complex dim-2
+    # operator; the solve refuses them before scipy does, and mode "full" works
+    cfg = LatticeConfig(1, 1, C, 1.0)
+    real = SparseOperator(scipy.sparse.csr_matrix(np.array([[2.0]])), cfg, "test:1")
+    herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), cfg, "test:2")
+    for op, kind in ((real, "real"), (herm, "complex")):
+        with pytest.raises(ValueError, match=rf"dimension >= \d for a {kind} operator, "
+                                             rf"got dimension {op.dim}; use mode='full'"):
+            diagonalize(op, mode="lowest")
+    assert diagonalize(real).eigenvalues[0] == 2.0
+    assert diagonalize(herm).eigenvalues[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_full_mode_checks_byte_budget(monkeypatch):
@@ -269,10 +280,11 @@ def test_full_mode_checks_byte_budget(monkeypatch):
 
 
 def test_lowest_mode_reproducible():
+    # the seeded start vector makes two solves bitwise equal
     op = build_periodic(LatticeConfig(3, 3, P, 1.0))
-    first = diagonalize(op, mode="lowest", k=4, vectors=False).eigenvalues
-    second = diagonalize(op, mode="lowest", k=4, vectors=False).eigenvalues
-    assert np.array_equal(first, second)
+    first, second = diagonalize(op, mode="lowest"), diagonalize(op, mode="lowest")
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matrix:

@@ -114,3 +114,10 @@ def _calls(node, name: str) -> bool:
 def _calls_exp(node) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return isinstance(func, ast.Attribute) and func.attr == "exp" and getattr(func.value, "id", None) == "cmath"
+
+
+def test_one_nondegenerate_lattice_check():
+    # the periodic nx, ny >= 2 condition has one definition and one message
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines() if "nx >= 2 and ny >= 2" in line]
+    assert found == ["lattice.py"], found
