@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -250,6 +251,16 @@ def test_level_spacing_sector_resolved():
     # frozen from the computed 2x2 (0,0) sector spectrum
     r00 = level_spacing_ratios(spectra[0])
     assert r00.shape == (3,)
+
+
+@pytest.mark.parametrize("k", [0, -1, 8, 9])
+def test_lowest_mode_rejects_bad_k(k):
+    # the solve takes no eigenpair count: a caller still naming one, even a
+    # count the old 1 <= k < dim bound refused, is refused rather than ignored
+    op = build_periodic(LatticeConfig(2, 2, P, 1.0))  # dim 8
+    with pytest.raises(TypeError, match="'k'"):
+        inspect.signature(diagonalize).bind(op, mode="lowest", k=k)
+    assert diagonalize(op, mode="lowest").eigenvalues.shape == (1,)
 
 
 def test_lowest_mode_refuses_tiny_operators():
