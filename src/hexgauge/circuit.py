@@ -48,20 +48,19 @@ def _mul(c1: tuple[Fraction, Fraction], c2: tuple[Fraction, Fraction]):
 def _expand_exact(c: tuple[int, int], cfg: LatticeConfig) -> dict[frozenset[int], Fraction]:
     """Exact expansion of the six-factor product at plaquette c.
 
-    Returns {z-site set: rational coefficient}; outside chain slots are
-    substituted with z = -1 before expanding (closed BC).
+    Returns {z-site set: rational coefficient}; outside chain slots (-1)
+    are substituted with z = -1 before expanding (closed BC).
     """
     chain = neighbor_chain6(c, cfg)
-    slots = [None if q is None else cfg.site(*q) for q in chain]
     poly: dict[frozenset[int], tuple[Fraction, Fraction]] = {frozenset(): (ONE, Fraction(0))}
     for k in range(6):
-        q1, q2 = slots[k], slots[(k + 1) % 6]
+        q1, q2 = chain[k], chain[(k + 1) % 6]
         # factor = alpha * z_K z_{K+1} + beta, alpha/beta = 1/2 -+ u/2
         parts: list[tuple[frozenset[int], tuple[Fraction, Fraction]]] = []
-        if q1 is None and q2 is None:
+        if q1 < 0 and q2 < 0:
             parts.append((frozenset(), (ONE, Fraction(0))))  # z z = +1, factor = 1
-        elif q1 is None or q2 is None:
-            q = q2 if q1 is None else q1
+        elif q1 < 0 or q2 < 0:
+            q = max(q1, q2)
             parts.append((frozenset([q]), (-HALF, HALF)))  # -alpha z
             parts.append((frozenset(), (HALF, HALF)))
         else:
@@ -97,7 +96,7 @@ def pauli_expand(c: tuple[int, int], cfg: LatticeConfig) -> list[PauliTerm]:
     plaquettes with fixed outside spins also produce odd strings.
     """
     exact = _expand_exact(c, cfg)
-    fully_dynamic = all(q is not None for q in neighbor_chain6(c, cfg))
+    fully_dynamic = min(neighbor_chain6(c, cfg)) >= 0
     x_site = cfg.site(*c)
     terms = []
     for sites in sorted(exact, key=lambda s: (len(s), sorted(s))):
@@ -168,7 +167,7 @@ def diagonal_z_terms(cfg: LatticeConfig):
     const = 0.0
     if cfg.bc is BoundaryCondition.PERIODIC:
         jz = j_zz(cfg.lam)
-        for p, _, q in bonds(cfg):
+        for p, q in bonds(cfg):
             key = (min(p, q), max(p, q))
             pairs[key] = pairs.get(key, 0.0) + jz
         return const, singles, pairs
@@ -176,7 +175,7 @@ def diagonal_z_terms(cfg: LatticeConfig):
     for p in range(cfg.n_plaq):
         const += hp / 2.0
         singles[p] = singles.get(p, 0.0) + hp / 2.0
-    for p, _, q in bonds(cfg):
+    for p, q in bonds(cfg):
         if q < 0:
             continue
         const -= hpp / 4.0

@@ -31,8 +31,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .lattice import (BoundaryCondition, LatticeConfig, bonds, chain_sites, neighbor_chain6, neighbor_chain8,
-                      require_nondegenerate)
+from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, neighbor_chain8, require_nondegenerate
 from .spinbasis import fold, state_array
 
 SQRT3 = math.sqrt(3.0)
@@ -105,7 +104,7 @@ class SparseOperator:
 @lru_cache(maxsize=None)
 def chain_table(cfg: LatticeConfig) -> tuple[tuple[int, ...], ...]:
     """Per-plaquette six-neighbor chain as site indices (-1 = outside)."""
-    return tuple(chain_sites(neighbor_chain6(cfg.coord(p), cfg), cfg) for p in range(cfg.n_plaq))
+    return tuple(neighbor_chain6(cfg.coord(p), cfg) for p in range(cfg.n_plaq))
 
 
 def flip_exponent(states: np.ndarray, chain) -> np.ndarray:
@@ -145,7 +144,7 @@ def flip_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eigh
     here = cfg.site(i, j)
     if not eight:
         return 1 << here, _O1_COEFF[flip_exponent(states, chain_table(cfg)[here])]
-    chain = chain_sites(neighbor_chain8(c, cfg), cfg)
+    chain = neighbor_chain8(c, cfg)
     above = cfg.site(i, (j + 1) % cfg.ny)
     z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
     amp = _O1_COEFF[flip_exponent(states, chain)] * (1.0 + 3.0 * z0z1) / 4.0
@@ -159,7 +158,7 @@ def bond_diagonal(states: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
     h_plus * n_up - h_pp * (up-up bond count).
     """
     total = np.zeros(states.shape, dtype=np.int64)
-    for p, _, q in bonds(cfg):
+    for p, q in bonds(cfg):
         if cfg.periodic:
             total += 1 - 2 * (((states >> p) ^ (states >> q)) & 1)
         elif q >= 0:

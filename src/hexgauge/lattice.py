@@ -22,9 +22,6 @@ class BoundaryCondition(Enum):
     PERIODIC = "periodic"
 
 
-# Sentinel for a neighbor slot that falls outside a closed lattice.
-OUTSIDE = None
-
 # Displacements of the six-neighbor chain, in cyclic order K = 0..5.
 CHAIN6 = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
 
@@ -32,8 +29,8 @@ CHAIN6 = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
 # in cyclic order K = 0..7.
 CHAIN8 = ((0, 2), (1, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (-1, 2))
 
-# The three forward bond directions; every bond of the lattice is keyed by
-# (plaquette, direction index) exactly once.
+# The three forward bond directions; every bond of the lattice leaves one
+# plaquette along one of them exactly once.
 FORWARD = ((0, 1), (1, 0), (1, -1))
 
 
@@ -110,30 +107,30 @@ def require_nondegenerate(cfg: LatticeConfig):
         raise ValueError("periodic lattices need nx >= 2 and ny >= 2")
 
 
-def resolve(cfg: LatticeConfig, i: int, j: int):
-    """Map a raw coordinate to a lattice coordinate or OUTSIDE (closed BC)."""
+def resolve(cfg: LatticeConfig, i: int, j: int) -> int:
+    """Site index of a raw coordinate, wrapped under periodic BC; -1 when it
+    falls outside a closed lattice."""
     if cfg.periodic:
-        return i % cfg.nx, j % cfg.ny
-    if cfg.in_range(i, j):
-        return i, j
-    return OUTSIDE
+        return cfg.site(i % cfg.nx, j % cfg.ny)
+    return cfg.site(i, j) if cfg.in_range(i, j) else -1
 
 
-def neighbor_chain6(c: tuple[int, int], cfg: LatticeConfig) -> list:
-    """The six neighbor slots of plaquette c in cyclic order K = 0..5.
+def neighbor_chain6(c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, ...]:
+    """Site indices of the six neighbors of plaquette c in cyclic order
+    K = 0..5, -1 for a slot outside a closed lattice.
 
-    Periodic BC wraps both indices; closed BC marks out-of-lattice slots
-    as OUTSIDE.  Consecutive chain entries are themselves adjacent
-    plaquettes, which is what makes the cyclic order meaningful.
+    Consecutive chain entries are themselves adjacent plaquettes, which is
+    what makes the cyclic order meaningful.
     """
     i, j = c
     if not cfg.in_range(i, j):
         raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
-    return [resolve(cfg, i + di, j + dj) for di, dj in CHAIN6]
+    return tuple(resolve(cfg, i + di, j + dj) for di, dj in CHAIN6)
 
 
-def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> list:
-    """The eight plaquettes around the vertical pair c, c+(0,1), K = 0..7.
+def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, ...]:
+    """Site indices of the eight plaquettes around the vertical pair c,
+    c+(0,1), K = 0..7, -1 outside.
 
     Raises for closed-BC placements whose partner plaquette (i, j+1) falls
     outside the lattice.
@@ -141,30 +138,19 @@ def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> list:
     i, j = c
     if not cfg.in_range(i, j):
         raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
-    if resolve(cfg, i, j + 1) is OUTSIDE:
+    if resolve(cfg, i, j + 1) < 0:
         raise ValueError(f"partner plaquette ({i},{j + 1}) outside closed lattice")
-    return [resolve(cfg, i + di, j + dj) for di, dj in CHAIN8]
+    return tuple(resolve(cfg, i + di, j + dj) for di, dj in CHAIN8)
 
 
-def chain_sites(chain: list, cfg: LatticeConfig) -> tuple[int, ...]:
-    """Site indices of a neighbor chain, -1 for OUTSIDE slots."""
-    return tuple(-1 if q is OUTSIDE else cfg.site(*q) for q in chain)
+def bonds(cfg: LatticeConfig) -> list[tuple[int, int]]:
+    """All bonds as (site, partner site or -1).
 
-
-def bonds(cfg: LatticeConfig) -> list[tuple[int, int, int]]:
-    """All bonds as (site, direction index, partner site or -1).
-
-    Each physical bond appears exactly once, keyed by its source plaquette
-    and one of the three forward directions.  Closed-BC bonds whose partner
-    is outside carry partner -1 (the outside spin is fixed down).  On small
-    periodic lattices (nx or ny = 2) distinct keys may join the same
-    unordered pair twice; the Hamiltonian sums them as written.
+    Each physical bond appears exactly once, from its source plaquette along
+    one of the three forward directions.  Closed-BC bonds whose partner is
+    outside carry partner -1 (the outside spin is fixed down).  On small
+    periodic lattices (nx or ny = 2) two bonds may join the same unordered
+    pair; the Hamiltonian sums them as written.
     """
-    out = []
-    for j in range(cfg.ny):
-        for i in range(cfg.nx):
-            for d, (di, dj) in enumerate(FORWARD):
-                q = resolve(cfg, i + di, j + dj)
-                partner = -1 if q is OUTSIDE else cfg.site(*q)
-                out.append((cfg.site(i, j), d, partner))
-    return out
+    return [(cfg.site(i, j), resolve(cfg, i + di, j + dj))
+            for j in range(cfg.ny) for i in range(cfg.nx) for di, dj in FORWARD]

@@ -24,7 +24,7 @@ def c_value(s: int, c: tuple[int, int], cfg) -> int:
 
 def up_pair_count(s: int, bond_list) -> int:
     total = 0
-    for p, _, q in bond_list:
+    for p, q in bond_list:
         if q >= 0 and (s >> p) & 1 and (s >> q) & 1:
             total += 1
     return total

@@ -102,8 +102,7 @@ def wilson_block(sector, sector_p, to_rep: dict, eight: bool) -> np.ndarray:
         for ry in range(cfg.ny):
             for rx in range(cfg.nx):
                 px, py = (-rx) % cfg.nx, (-ry) % cfg.ny
-                chain = neighbor_chain8((px, py), cfg) if eight else neighbor_chain6((px, py), cfg)
-                sites = [cfg.site(*q) for q in chain]
+                sites = neighbor_chain8((px, py), cfg) if eight else neighbor_chain6((px, py), cfg)
                 here = cfg.site(px, py)
                 if eight:
                     above = cfg.site(px, (py + 1) % cfg.ny)

@@ -132,7 +132,7 @@ def test_criterion_4_vertex_algebra():
 
 def test_criterion_5_magnetic_form_equivalence():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    chain = [cfg.site(*q) for q in neighbor_chain6((1, 1), cfg)]
+    chain = neighbor_chain6((1, 1), cfg)
     exact = _expand_exact((1, 1), cfg)  # raises if any coefficient is not real
     float_worst = 0.0
     for assignment in range(64):

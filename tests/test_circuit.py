@@ -36,7 +36,7 @@ def test_expansion_even_z_strings_periodic():
 
 def test_expansion_z_sites_within_chain():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    chain = {cfg.site(*q) for q in neighbor_chain6((0, 0), cfg)}
+    chain = set(neighbor_chain6((0, 0), cfg))
     for t in pauli_expand((0, 0), cfg):
         assert t.z_sites <= chain
         assert t.x_site == cfg.site(0, 0)
@@ -46,7 +46,7 @@ def test_expansion_roundtrip_exact():
     # the expansion evaluates to (-1/2)^c on each of the 2^6 neighbor
     # configurations, as exact dyadic rationals
     cfg = LatticeConfig(3, 3, P, 1.0)
-    chain = [cfg.site(*q) for q in neighbor_chain6((1, 1), cfg)]
+    chain = neighbor_chain6((1, 1), cfg)
     exact = _expand_exact((1, 1), cfg)
     for assignment in range(64):
         s = 0
@@ -64,7 +64,7 @@ def test_expansion_roundtrip_exact():
 
 def test_expansion_c3_value():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    chain = [cfg.site(*q) for q in neighbor_chain6((1, 1), cfg)]
+    chain = neighbor_chain6((1, 1), cfg)
     s = (1 << chain[0]) | (1 << chain[2]) | (1 << chain[4])
     terms = pauli_expand((1, 1), cfg)
     assert evaluate_expansion(terms, s) == pytest.approx(-0.125, abs=1e-15)

@@ -22,7 +22,6 @@ from hexgauge.lattice import (
     BoundaryCondition,
     LatticeConfig,
     bonds,
-    chain_sites,
     neighbor_chain6,
     neighbor_chain8,
 )
@@ -53,7 +52,7 @@ def test_c_value_all_down():
 def test_c_value_single_neighbor_up():
     cfg = LatticeConfig(3, 3, P, 1.0)
     for q in neighbor_chain6((1, 1), cfg):
-        s = 1 << cfg.site(*q)
+        s = 1 << q
         assert c_value(s, (1, 1), cfg) == 1
 
 
@@ -62,7 +61,7 @@ def test_c_value_alternating_chain():
     chain = neighbor_chain6((1, 1), cfg)
     s = 0
     for k in (0, 2, 4):
-        s |= 1 << cfg.site(*chain[k])
+        s |= 1 << chain[k]
     assert c_value(s, (1, 1), cfg) == 3
 
 
@@ -70,9 +69,9 @@ def test_magnetic_coefficient_values():
     cfg = LatticeConfig(3, 3, P, 1.0)
     chain = neighbor_chain6((1, 1), cfg)
     assert (-0.5) ** c_value(0, (1, 1), cfg) == 1.0
-    s1 = 1 << cfg.site(*chain[0])
+    s1 = 1 << chain[0]
     assert (-0.5) ** c_value(s1, (1, 1), cfg) == -0.5
-    s2 = s1 | (1 << cfg.site(*chain[2]))
+    s2 = s1 | (1 << chain[2])
     assert (-0.5) ** c_value(s2, (1, 1), cfg) == 0.25
 
 
@@ -163,7 +162,7 @@ def test_flip_invariance_of_c_vectorized_4x4():
     states = np.arange(1 << 16, dtype=np.uint32)
     comp = states ^ np.uint32((1 << 16) - 1)
     for p in range(16):
-        chain = [cfg.site(*q) for q in neighbor_chain6(cfg.coord(p), cfg)]
+        chain = neighbor_chain6(cfg.coord(p), cfg)
 
         def cvals(arr):
             bits = [(arr >> np.uint32(q)) & 1 for q in chain]
@@ -263,7 +262,7 @@ def _scalar_c(s: int, sites) -> int:
 
 def _scalar_zz(s: int, bond_list) -> int:
     total = 0
-    for p, _, q in bond_list:
+    for p, q in bond_list:
         zq = -1 if q < 0 else 2 * ((s >> q) & 1) - 1
         total += (2 * ((s >> p) & 1) - 1) * zq
     return total
@@ -286,7 +285,7 @@ def _lattice_chain_state(draw):
 def test_kernels_match_scalar_reference(case):
     cfg, c, eight, states = case
     arr = np.array(states, dtype=np.int64)
-    chain = chain_sites((neighbor_chain8 if eight else neighbor_chain6)(c, cfg), cfg)
+    chain = (neighbor_chain8 if eight else neighbor_chain6)(c, cfg)
     got = flip_exponent(arr, chain)
     assert got.tolist() == [_scalar_c(s, chain) for s in states]
     if not eight:

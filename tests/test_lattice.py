@@ -14,30 +14,35 @@ P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
 
 
+def coords(chain, cfg):
+    """A site chain as plaquette coordinates, -1 kept for an outside slot."""
+    return [cfg.coord(q) if q >= 0 else -1 for q in chain]
+
+
 def test_chain6_periodic_wrap():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    assert neighbor_chain6((0, 0), cfg) == [(0, 1), (1, 0), (1, 2), (0, 2), (2, 0), (2, 1)]
+    assert coords(neighbor_chain6((0, 0), cfg), cfg) == [(0, 1), (1, 0), (1, 2), (0, 2), (2, 0), (2, 1)]
 
 
 def test_chain6_interior_no_wrap():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    assert neighbor_chain6((1, 1), cfg) == [(1, 2), (2, 1), (2, 0), (1, 0), (0, 1), (0, 2)]
+    assert coords(neighbor_chain6((1, 1), cfg), cfg) == [(1, 2), (2, 1), (2, 0), (1, 0), (0, 1), (0, 2)]
 
 
 def test_chain6_closed_marks_outside():
     cfg = LatticeConfig(3, 3, C, 1.0)
-    assert neighbor_chain6((0, 0), cfg) == [(0, 1), (1, 0), None, None, None, None]
+    assert neighbor_chain6((0, 0), cfg) == (cfg.site(0, 1), cfg.site(1, 0), -1, -1, -1, -1)
 
 
 def test_chain8_periodic_wrap():
     cfg = LatticeConfig(4, 4, P, 1.0)
-    assert neighbor_chain8((0, 0), cfg) == [
+    assert coords(neighbor_chain8((0, 0), cfg), cfg) == [
         (0, 2), (1, 1), (1, 0), (1, 3), (0, 3), (3, 0), (3, 1), (3, 2)]
 
 
 def test_chain8_interior():
     cfg = LatticeConfig(4, 4, P, 1.0)
-    assert neighbor_chain8((1, 1), cfg) == [
+    assert coords(neighbor_chain8((1, 1), cfg), cfg) == [
         (1, 3), (2, 2), (2, 1), (2, 0), (1, 0), (0, 1), (0, 2), (0, 3)]
 
 
@@ -49,14 +54,11 @@ def test_chain8_closed_rejects_outside_partner():
 
 def test_chain6_symmetric_and_distinct():
     cfg = LatticeConfig(3, 4, P, 1.0)
-    chains = {}
-    for j in range(cfg.ny):
-        for i in range(cfg.nx):
-            chains[(i, j)] = neighbor_chain6((i, j), cfg)
-    for c, chain in chains.items():
+    chains = [neighbor_chain6(cfg.coord(p), cfg) for p in range(cfg.n_plaq)]
+    for p, chain in enumerate(chains):
         assert len(set(chain)) == 6
         for q in chain:
-            assert c in chains[q]
+            assert p in chains[q]
 
 
 def test_consecutive_chain_entries_adjacent():
@@ -66,7 +68,7 @@ def test_consecutive_chain_entries_adjacent():
         for i in range(3):
             chain = neighbor_chain6((i, j), cfg)
             for k in range(6):
-                assert chain[(k + 1) % 6] in neighbor_chain6(chain[k], cfg)
+                assert chain[(k + 1) % 6] in neighbor_chain6(cfg.coord(chain[k]), cfg)
 
 
 def test_bond_count_periodic():
@@ -74,7 +76,7 @@ def test_bond_count_periodic():
     bs = bonds(cfg)
     assert len(bs) == 3 * cfg.n_plaq
     # every unordered adjacent pair exactly once for nx, ny >= 3
-    pairs = {frozenset((p, q)) for p, _, q in bs}
+    pairs = {frozenset((p, q)) for p, q in bs}
     assert len(pairs) == 3 * cfg.n_plaq
 
 
@@ -82,7 +84,7 @@ def test_bond_duplicates_on_small_torus():
     cfg = LatticeConfig(2, 2, P, 1.0)
     bs = bonds(cfg)
     assert len(bs) == 12
-    pairs = [frozenset((p, q)) for p, _, q in bs]
+    pairs = [frozenset((p, q)) for p, q in bs]
     assert len(set(pairs)) == 6  # each pair doubled
 
 

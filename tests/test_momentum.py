@@ -177,7 +177,7 @@ def test_wilson2_not_hermitian_on_2x2():
 def test_bracket_equals_counted_form():
     # the six-factor product reduces to (-1/2)^c on every configuration
     cfg = LatticeConfig(3, 3, P, 1.0)
-    sites = [cfg.site(*q) for q in neighbor_chain6((1, 1), cfg)]
+    sites = neighbor_chain6((1, 1), cfg)
     for assignment in range(64):
         s = 0
         for k in range(6):

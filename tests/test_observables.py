@@ -306,7 +306,7 @@ def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matri
     states = state_array(cfg, cfg.periodic).tolist()
     rows, vals = [], []
     for s in states:
-        z = [-1 if q is None else 2 * ((s >> cfg.site(*q)) & 1) - 1 for q in chain]
+        z = [-1 if q < 0 else 2 * ((s >> q) & 1) - 1 for q in chain]
         n = sum(1 for k in range(len(z)) if z[k] == 1 and z[(k + 1) % len(z)] == -1)
         amp, t = -((-0.5) ** n), s ^ (1 << here)
         if eight:
