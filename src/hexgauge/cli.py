@@ -22,6 +22,7 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
 from .observables import (
+    DENSE_MAX_BYTES,
     basis_state,
     diagonalize,
     expectation,
@@ -30,7 +31,7 @@ from .observables import (
     wilson2_operator,
 )
 from .oracle import certify_isomorphism
-from .spinbasis import all_sectors, build_sector, state_array
+from .spinbasis import all_sectors, basis_dim, build_sector
 
 
 def _sha256(path: str) -> str:
@@ -124,12 +125,24 @@ def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     return 0, paths
 
 
+# Words per write of the basis list; a chunk's strings are all held at once.
+BASIS_CHUNK = 1 << 14
+
+
 def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     require_nondegenerate(cfg)
-    # the basis is 0 .. dim-1 (state_array), so the words come from a range
-    dim = len(state_array(cfg, cfg.periodic))
-    dump = {"config": cfg.to_dict(), "dim": dim, "states_hex": [format(s, "x") for s in range(dim)]}
-    return 0, [_write_json(args.out + ".basis.json", dump)]
+    # the basis is 0 .. dim-1 (state_array), so the words come from a range,
+    # written a chunk at a time with the bytes _write_json would give the list
+    dim = basis_dim(cfg, cfg.periodic)
+    head = json.dumps({"config": cfg.to_dict(), "dim": dim}, indent=2, sort_keys=True)
+    path = args.out + ".basis.json"
+    with open(path, "w") as f:
+        f.write(head[:-2] + ',\n  "states_hex": [\n    "')
+        for start in range(0, dim, BASIS_CHUNK):
+            f.write(('",\n    "' if start else "")
+                    + '",\n    "'.join(map("{:x}".format, range(start, min(start + BASIS_CHUNK, dim)))))
+        f.write('"\n  ]\n}\n')
+    return 0, [path]
 
 
 def cmd_sectors(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
@@ -151,6 +164,11 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
         # a closed lattice or a bad sector is refused here, before the solve writes anything
         first = build_sector(cfg, *args.sector)
         sectors = first, build_sector(cfg, *args.sector_prime, first.orbits)
+        # each block is written from a dense complex dim' x dim array
+        need = sectors[1].dim * first.dim * 16
+        if need > DENSE_MAX_BYTES:
+            raise ValueError(f"--blocks: a dense {sectors[1].dim}x{first.dim} block needs {need} bytes "
+                             f"({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense budget")
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest")
     gs = spec.eigenvectors[:, 0]

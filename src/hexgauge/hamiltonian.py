@@ -75,7 +75,6 @@ class SparseOperator:
     """Hermitian sparse matrix over the basis states 0 .. dim-1."""
 
     matrix: scipy.sparse.csr_matrix
-    cfg: LatticeConfig
     label: str
 
     @property
@@ -230,4 +229,4 @@ def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
         amp *= -h_x(lam)
         cols[:, p + 1] = t = flipped(states, mask, cfg, quotient)
         vals[:, p + 1] = amp[t]
-    return SparseOperator(SparseOperator.rows_csr(cols, vals), cfg, basis_label(cfg, quotient))
+    return SparseOperator(SparseOperator.rows_csr(cols, vals), basis_label(cfg, quotient))

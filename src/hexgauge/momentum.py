@@ -39,7 +39,7 @@ def _targets(sector: MomentumSector, flipped: np.ndarray):
 
 
 def _operator(sector: MomentumSector, matrix) -> SparseOperator:
-    return SparseOperator(matrix, sector.cfg, basis_label(sector.cfg, True, (sector.nx_q, sector.ny_q)))
+    return SparseOperator(matrix, basis_label(sector.cfg, True, (sector.nx_q, sector.ny_q)))
 
 
 def hzz_block(sector: MomentumSector) -> SparseOperator:

@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 
 from .hamiltonian import SparseOperator, basis_label, flip_action, flipped
 from .lattice import LatticeConfig
-from .spinbasis import fold, state_array
+from .spinbasis import basis_dim, fold, state_array
 
 RESIDUAL_TOL = 1e-8
 # Bytes a dense solve may take: a quarter of an 8 GB machine.
@@ -62,9 +62,9 @@ def basis_state(cfg: LatticeConfig, s: int) -> StateVector:
     """The unit vector for spin word s (canonicalized under periodic BC)."""
     if not 0 <= s < 1 << cfg.n_plaq:
         raise ValueError(f"spin word {s:#x} outside [0, 2^{cfg.n_plaq}) for {cfg.nx}x{cfg.ny}")
+    dim = basis_dim(cfg, cfg.periodic)
     if cfg.periodic:
         s = fold(s, cfg)
-    dim = 1 << (cfg.n_plaq - cfg.periodic)
     amps = np.zeros(dim, dtype=complex)
     amps[s] = 1.0
     return StateVector(amps, basis_label(cfg, cfg.periodic))
@@ -77,7 +77,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    label: str
     residual: float | None = None
 
     @property
@@ -129,7 +128,7 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
             vecs = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    spec = Spectrum(np.asarray(vals, float), vecs, op.label)
+    spec = Spectrum(np.asarray(vals, float), vecs)
     if vecs is not None:
         spec.residual = spec.check_residuals(op)
         scale = max(1.0, float(np.max(np.abs(vals))))

@@ -382,7 +382,7 @@ def ks_hamiltonian(cfg: LatticeConfig, enum: GaugeEnumeration | None = None):
         cols[:, p + 1] = t = cols[:, 0] ^ moved
         vals[:, p + 1] = (-hmag * plaquette_element(enum, configs, p))[t]
     mat = SparseOperator.rows_csr(cols, vals)
-    return SparseOperator(mat, cfg, "gauge-reachable")
+    return SparseOperator(mat, "gauge-reachable")
 
 
 @dataclass

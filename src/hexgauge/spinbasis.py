@@ -21,12 +21,15 @@ from .lattice import LatticeConfig, require_nondegenerate
 MAX_BITS = 22
 
 
-def _check_capacity(cfg: LatticeConfig):
+def basis_dim(cfg: LatticeConfig, quotient: bool) -> int:
+    """Size of the flip-quotient basis (quotient=True) or of all 2^N states,
+    refusing a lattice over the enumeration cap before anything is built."""
     if cfg.n_plaq > MAX_BITS:
         raise ValueError(
             f"{cfg.nx}x{cfg.ny} lattice has {cfg.n_plaq} plaquettes; "
             f"enumeration is capped at {MAX_BITS}"
         )
+    return 1 << (cfg.n_plaq - quotient)
 
 
 def full_mask(cfg: LatticeConfig) -> int:
@@ -37,8 +40,7 @@ def state_array(cfg: LatticeConfig, quotient: bool) -> np.ndarray:
     """The flip-quotient basis (quotient=True) or all 2^N states, as int64,
     in increasing order; the smaller member of each flip pair is the one
     with the top bit clear, so the quotient is 0 .. 2^(N-1) - 1."""
-    _check_capacity(cfg)
-    return np.arange(1 << (cfg.n_plaq - quotient), dtype=np.int64)
+    return np.arange(basis_dim(cfg, quotient), dtype=np.int64)
 
 
 def fold(states, cfg: LatticeConfig):
@@ -75,7 +77,6 @@ class OrbitTable:
     global flip.
     """
 
-    cfg: LatticeConfig
     reps: np.ndarray
     rep: np.ndarray
     shift: np.ndarray
@@ -101,7 +102,7 @@ def build_orbit_table(cfg: LatticeConfig) -> OrbitTable:
          for g in range(cfg.n_plaq)],
         axis=1,
     )
-    return OrbitTable(cfg, reps, rep, shift, stabilizer)
+    return OrbitTable(reps, rep, shift, stabilizer)
 
 
 def momentum_numerator(cfg: LatticeConfig, nx_q: int, ny_q: int, rx, ry):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from hexgauge import spinbasis
+from hexgauge import cli, spinbasis
 from hexgauge.cli import main
 from hexgauge.hamiltonian import build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
@@ -184,6 +184,34 @@ def test_wilson_blocks_closed_refused_before_work(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert ("periodic BC" in err or "out of range" in err) and err.count("\n") == 1
     assert list(tmp_path.glob("w*")) == []
+
+
+def test_wilson_blocks_over_budget_refused(tmp_path, capsys, monkeypatch):
+    # a dense block over the budget is refused once both sectors are built,
+    # before the solve: exit 2, one line naming both dimensions and the bytes
+    monkeypatch.setattr(cli, "DENSE_MAX_BYTES", 1000)
+    monkeypatch.setattr(cli, "diagonalize", lambda *a, **k: pytest.fail("solved over budget"))
+    out = str(tmp_path / "w")
+    assert main(["wilson", "--nx", "3", "--ny", "3", "--blocks", "--sector-prime", "1", "0", "--out", out]) == 2
+    cfg = LatticeConfig(3, 3, BoundaryCondition.PERIODIC, 1.0)
+    dim, dim_p = spinbasis.build_sector(cfg, 0, 0).dim, spinbasis.build_sector(cfg, 1, 0).dim
+    err = capsys.readouterr().err
+    assert f"dense {dim_p}x{dim} block needs {dim_p * dim * 16} bytes" in err and err.count("\n") == 1
+    assert list(tmp_path.glob("w*")) == []
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("nx, ny, bc", [(1, 1, "closed"), (2, 2, "periodic"), (3, 4, "periodic")])
+def test_basis_bytes_match_json_dump(tmp_path, monkeypatch, nx, ny, bc, chunk):
+    # the chunked list body gives the bytes json.dump writes for the whole
+    # dict, at the default chunk size and at one that splits every list
+    if chunk:
+        monkeypatch.setattr(cli, "BASIS_CHUNK", chunk)
+    assert main(["basis", "--nx", str(nx), "--ny", str(ny), "--bc", bc, "--out", str(tmp_path / "b")]) == 0
+    dim = 1 << (nx * ny - (bc == "periodic"))
+    dump = {"config": {"nx": nx, "ny": ny, "bc": bc, "lambda": 1.0}, "dim": dim,
+            "states_hex": [format(s, "x") for s in range(dim)]}
+    assert (tmp_path / "b.basis.json").read_bytes() == (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_flag_overrides(tmp_path):

@@ -74,6 +74,13 @@ def test_eigenvector_shares_basis_state_label(bc):
     assert op.label == f"{'periodic-quotient' if bc is P else 'closed-full'}:3x3"
 
 
+def test_basis_state_capped():
+    # basis_state refuses a lattice over the enumeration cap, as state_array
+    # does, instead of allocating its 2^23 amplitudes (128 MiB)
+    with pytest.raises(ValueError, match="capped at 22"):
+        basis_state(LatticeConfig(1, 23, C, 1.0), 0)
+
+
 def test_periodic_2x2_spectrum_size():
     cfg = LatticeConfig(2, 2, P, 1.0)
     spec = diagonalize(build_periodic(cfg), vectors=False)
@@ -266,9 +273,8 @@ def test_lowest_mode_rejects_bad_k(k):
 def test_lowest_mode_refuses_tiny_operators():
     # ARPACK cannot take one eigenpair of a real dim-1 or a complex dim-2
     # operator; the solve refuses them before scipy does, and mode "full" works
-    cfg = LatticeConfig(1, 1, C, 1.0)
-    real = SparseOperator(scipy.sparse.csr_matrix(np.array([[2.0]])), cfg, "test:1")
-    herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), cfg, "test:2")
+    real = SparseOperator(scipy.sparse.csr_matrix(np.array([[2.0]])), "test:1")
+    herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), "test:2")
     for op, kind in ((real, "real"), (herm, "complex")):
         with pytest.raises(ValueError, match=rf"dimension >= \d for a {kind} operator, "
                                              rf"got dimension {op.dim}; use mode='full'"):
