@@ -125,22 +125,16 @@ def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     return 0, paths
 
 
-# Words per write of the basis list; a chunk's strings are all held at once.
-BASIS_CHUNK = 1 << 14
-
-
 def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     require_nondegenerate(cfg)
     # the basis is 0 .. dim-1 (state_array), so the words come from a range,
-    # written a chunk at a time with the bytes _write_json would give the list
+    # streamed with the bytes _write_json would give the whole dict
     dim = basis_dim(cfg, cfg.periodic)
     head = json.dumps({"config": cfg.to_dict(), "dim": dim}, indent=2, sort_keys=True)
     path = args.out + ".basis.json"
     with open(path, "w") as f:
-        f.write(head[:-2] + ',\n  "states_hex": [\n    "')
-        for start in range(0, dim, BASIS_CHUNK):
-            f.write(('",\n    "' if start else "")
-                    + '",\n    "'.join(map("{:x}".format, range(start, min(start + BASIS_CHUNK, dim)))))
+        f.write(head[:-2] + ',\n  "states_hex": [\n    "0')
+        f.writelines(map('",\n    "{:x}'.format, range(1, dim)))
         f.write('"\n  ]\n}\n')
     return 0, [path]
 
