@@ -60,7 +60,7 @@ def _expand_exact(c: tuple[int, int], cfg: LatticeConfig) -> dict[frozenset[int]
         if q1 < 0 and q2 < 0:
             parts.append((frozenset(), (ONE, Fraction(0))))  # z z = +1, factor = 1
         elif q1 < 0 or q2 < 0:
-            q = max(q1, q2)
+            q = max(q1, q2)  # the slot inside the lattice
             parts.append((frozenset([q]), (-HALF, HALF)))  # -alpha z
             parts.append((frozenset(), (HALF, HALF)))
         else:

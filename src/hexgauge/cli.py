@@ -125,16 +125,20 @@ def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     return 0, paths
 
 
+# Words formatted per write of the basis list.
+BASIS_CHUNK = 1 << 14
+
+
 def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     require_nondegenerate(cfg)
-    # the basis is 0 .. dim-1 (state_array), so the words come from a range,
-    # streamed with the bytes _write_json would give the whole dict
+    # the basis is 0 .. dim-1 (state_array): its words, chunked, as _write_json writes them
     dim = basis_dim(cfg, cfg.periodic)
     head = json.dumps({"config": cfg.to_dict(), "dim": dim}, indent=2, sort_keys=True)
     path = args.out + ".basis.json"
     with open(path, "w") as f:
         f.write(head[:-2] + ',\n  "states_hex": [\n    "0')
-        f.writelines(map('",\n    "{:x}'.format, range(1, dim)))
+        for start in range(1, dim, BASIS_CHUNK):
+            f.write("".join(map('",\n    "{:x}'.format, range(start, min(start + BASIS_CHUNK, dim)))))
         f.write('"\n  ]\n}\n')
     return 0, [path]
 

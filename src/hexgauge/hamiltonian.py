@@ -102,7 +102,7 @@ class SparseOperator:
 
 @lru_cache(maxsize=None)
 def chain_table(cfg: LatticeConfig) -> tuple[tuple[int, ...], ...]:
-    """Per-plaquette six-neighbor chain as site indices (-1 = outside)."""
+    """neighbor_chain6 of every plaquette, by site, built once per config."""
     return tuple(neighbor_chain6(cfg.coord(p), cfg) for p in range(cfg.n_plaq))
 
 

@@ -200,9 +200,13 @@ def test_wilson_blocks_over_budget_refused(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("w*")) == []
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
 @pytest.mark.parametrize("nx, ny, bc", [(1, 1, "closed"), (2, 2, "periodic"), (3, 4, "periodic")])
-def test_basis_bytes_match_json_dump(tmp_path, nx, ny, bc):
-    # the streamed word list gives the bytes json.dump writes for the whole dict
+def test_basis_bytes_match_json_dump(tmp_path, monkeypatch, nx, ny, bc, chunk):
+    # the chunked word list gives the bytes json.dump writes for the whole
+    # dict, at the default chunk size and at one that splits every list
+    if chunk:
+        monkeypatch.setattr(cli, "BASIS_CHUNK", chunk)
     assert main(["basis", "--nx", str(nx), "--ny", str(ny), "--bc", bc, "--out", str(tmp_path / "b")]) == 0
     dim = 1 << (nx * ny - (bc == "periodic"))
     dump = {"config": {"nx": nx, "ny": ny, "bc": bc, "lambda": 1.0}, "dim": dim,
