@@ -22,7 +22,6 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
 from .observables import (
-    DENSE_MAX_BYTES,
     basis_state,
     diagonalize,
     expectation,
@@ -127,6 +126,7 @@ def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 
 # Words formatted per write of the basis list.
 BASIS_CHUNK = 1 << 14
+HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
 
 
 def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
@@ -135,11 +135,18 @@ def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     dim = basis_dim(cfg, cfg.periodic)
     head = json.dumps({"config": cfg.to_dict(), "dim": dim}, indent=2, sort_keys=True)
     path = args.out + ".basis.json"
-    with open(path, "w") as f:
-        f.write(head[:-2] + ',\n  "states_hex": [\n    "0')
-        for start in range(1, dim, BASIS_CHUNK):
-            f.write("".join(map('",\n    "{:x}'.format, range(start, min(start + BASIS_CHUNK, dim)))))
-        f.write('"\n  ]\n}\n')
+    with open(path, "wb") as f:
+        f.write(head[:-2].encode() + b',\n  "states_hex": [\n    "0')
+        for width in range(1, len(f"{dim - 1:x}") + 1):
+            # the words of one hex width, chunked, each a row of '",\n    "' and its digits
+            first, end = max(1, 16 ** (width - 1)), min(dim, 16**width)
+            for lo in range(first, end, BASIS_CHUNK):
+                hi = min(lo + BASIS_CHUNK, end)
+                words = np.empty((hi - lo, 8 + width), np.uint8)
+                words[:, :8] = np.frombuffer(b'",\n    "', np.uint8)
+                words[:, 8:] = HEX_DIGITS[(np.arange(lo, hi)[:, None] >> np.arange(4 * width - 4, -1, -4)) & 15]
+                f.write(words)
+        f.write(b'"\n  ]\n}\n')
     return 0, [path]
 
 
@@ -162,11 +169,6 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
         # a closed lattice or a bad sector is refused here, before the solve writes anything
         first = build_sector(cfg, *args.sector)
         sectors = first, build_sector(cfg, *args.sector_prime, first.orbits)
-        # each block is written from a dense complex dim' x dim array
-        need = sectors[1].dim * first.dim * 16
-        if need > DENSE_MAX_BYTES:
-            raise ValueError(f"--blocks: a dense {sectors[1].dim}x{first.dim} block needs {need} bytes "
-                             f"({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense budget")
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest")
     gs = spec.eigenvectors[:, 0]
@@ -180,9 +182,12 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
         for name, make, o in zip(("o1", "o2"), (wilson1_block, wilson2_block), ops):
             if o is None:
                 continue
-            block = make(*sectors).toarray()
-            rows = ((r, c, re, im) for r, row in enumerate(block)
-                    for c, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
+            # the stored nonzero entries, row-major; + 0.0 writes -0.0 as 0.0
+            block = make(*sectors)
+            block.eliminate_zeros()
+            block = block.tocoo()
+            vals = block.data + 0.0
+            rows = zip(block.row.tolist(), block.col.tolist(), vals.real.tolist(), vals.imag.tolist())
             paths.append(_write_csv(f"{args.out}.{name}_block.csv", "row,col,re,im", rows))
     return 0, paths
 

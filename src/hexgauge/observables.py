@@ -3,8 +3,9 @@
 Operators act in the working basis of the configured boundary condition:
 the full 2^N basis for closed BC, the flip-quotient basis for periodic.
 Every eigen-solve and every exp(-iHt) goes through this module.  Evolution
-is Krylov propagation of the sparse H (scipy's expm_multiply) to double
-precision, so norm and energy are conserved to rounding.
+is a Chebyshev expansion of the sparse H over its Gershgorin interval
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) to double precision, so
+norm and energy are conserved to rounding.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from .spinbasis import basis_dim, fold, state_array
 RESIDUAL_TOL = 1e-8
 # Bytes a dense solve may take: a quarter of an 8 GB machine.
 DENSE_MAX_BYTES = 1 << 31
-# Largest |dt| * ||H||_1 of one evolution step.  expm_multiply cuts a step
-# into about |dt| * ||H||_1 / 9.9 Taylor pieces of degree 55 (9.9 is its
-# double-precision theta_55), so its work grows linearly with the product:
-# at 1e4 about 5.6e4 products with H, 0.5 s on periodic 2x2 (one core).  The
-# largest step a test or the benchmark takes is about 1e3 (periodic 3x3 to
-# t = 50 at once); a step of 1e20 would never finish, and one of 1e200
-# overflows inside scipy.
+# Largest half * |dt| of one evolution step, half being the half-width of
+# H's Gershgorin interval.  The Chebyshev series of a step needs about
+# half * |dt| + 15 products with H, so its work grows linearly with the
+# product: at 1e4 about 1e4 products, 0.25 s on periodic 2x2 (one core).  The
+# largest step a test or the benchmark takes is about 700 (periodic 3x3 to
+# t = 50 at once); a step of 1e20 would never finish.
 MAX_STEP_NORM = 1e4
+# Chebyshev coefficients below this are dropped from the series.
+CHEB_TOL = 1e-18
 
 
 @dataclass
@@ -168,32 +170,78 @@ def expectation(matrix, psi: StateVector) -> complex:
 # ---------------------------------------------------------------------------
 
 def evolve(op: SparseOperator, psi0: StateVector, t: float) -> StateVector:
-    """exp(-i H t)|psi0> by Krylov propagation to double precision; psi0
+    """exp(-i H t)|psi0> by a Chebyshev expansion to double precision; psi0
     may be one state or a (dim, n) block with one state per column."""
     _, psi = next(trajectory(op, psi0, [t]))
     return psi
 
 
 def trajectory(op: SparseOperator, psi0: StateVector, times):
-    """Yield (t, exp(-i H t)|psi0>), each a Krylov step to double precision
+    """Yield (t, exp(-i H t)|psi0>), each a Chebyshev step to double precision
     from the previous time (psi0 at t = 0); times may repeat or run backward.
-    psi0 may be a (dim, n) block with one state per column.  A step with
-    |dt| * ||H||_1 over MAX_STEP_NORM is refused before the first one runs."""
+    psi0 may be a (dim, n) block with one state per column.  H's spectrum is
+    bounded once, by its Gershgorin interval [mid - half, mid + half]; a step
+    with half * |dt| over MAX_STEP_NORM is refused before the first one runs."""
     times = np.asarray(times, dtype=float)
     step = float(np.abs(np.diff(times, prepend=0.0)).max(initial=0.0))
-    norm = float(scipy.sparse.linalg.norm(op.matrix, 1))
+    h = op.matrix
+    # H is Hermitian: its eigenvalues lie in the discs centred on the real
+    # diagonal, each of radius its row's off-diagonal sum of |h_ij|
+    starts = h.indptr[:-1]
+    stored = starts < h.indptr[1:]
+    row_abs = np.zeros(op.dim)
+    row_abs[stored] = np.add.reduceat(np.abs(h.data), starts[stored])
+    diag = h.diagonal().real
+    radius = row_abs - np.abs(diag)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
     # NaN fails the comparison and is refused with the rest
-    if not step * norm <= MAX_STEP_NORM:
-        raise ValueError(f"time step {step:.3g} times ||H||_1 = {norm:.3g} is over {MAX_STEP_NORM:g}: "
+    if not step * half <= MAX_STEP_NORM:
+        raise ValueError(f"time step {step:.3g} times H's half-width {half:.3g} is over {MAX_STEP_NORM:g}: "
                          "exp(-iHt) would not finish")
-    return _steps(-1j * op.matrix, psi0, times)
+    return _steps(h, mid, half, psi0, times)
 
 
-def _steps(gen, psi0: StateVector, times: np.ndarray):
-    t_prev, amps = 0.0, psi0.amplitudes
+def _steps(h, mid: float, half: float, psi0: StateVector, times: np.ndarray):
+    """exp(-i H dt) = exp(-i mid dt) sum_k c_k T_k((H - mid) / half) with
+    c_k = (2 - delta_k0) (-i sgn dt)^k J_k(half |dt|), by the three-term
+    recurrence T_k+1 = 2 A T_k - T_k-1."""
+    # imported here: at module level it would cost every import of hexgauge ~60 ms
+    from scipy.special import jv
+
+    real = not np.iscomplexobj(h)
+    powers = np.array([1, -1j, -1, 1j])
+
+    def shifted(x, scale):
+        """scale * (H - mid) x for a C-contiguous x; a real H acts on x's
+        float view, so H is never copied to complex."""
+        y = (h @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape) if real else h @ x
+        y -= mid * x
+        y *= scale
+        return y
+
+    t_prev, amps = 0.0, np.array(psi0.amplitudes, dtype=complex, order="C")
     for t in times:
         if t != t_prev:
-            amps, t_prev = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, amps), t
+            dt, t_prev = t - t_prev, t
+            z = half * abs(dt)
+            # |J_k(z)| falls monotonically once k > z
+            n = int(z) + 20
+            while abs(jv(n, z)) >= CHEB_TOL:
+                n *= 2
+            k = np.arange(n)
+            coef = 2 * jv(k, z) * (powers if dt > 0 else powers.conj())[k % 4]
+            coef[0] /= 2
+            coef = coef[: np.flatnonzero(np.abs(coef) >= CHEB_TOL)[-1] + 1]
+            out, prev, cur = coef[0] * amps, None, amps
+            for c in coef[1:]:
+                nxt = shifted(cur, (1 if prev is None else 2) / half)
+                if prev is not None:
+                    nxt -= prev
+                prev, cur = cur, nxt
+                out += c * cur
+            out *= np.exp(-1j * mid * dt)
+            amps = out
         yield float(t), StateVector(amps, psi0.label)
 
 

@@ -10,6 +10,7 @@ from hexgauge import cli, spinbasis
 from hexgauge.cli import main
 from hexgauge.hamiltonian import build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
+from hexgauge.momentum import wilson1_block, wilson2_block
 
 
 def _write_cfg(tmp_path, nx=2, ny=2, bc="periodic", lam=1.0):
@@ -186,18 +187,28 @@ def test_wilson_blocks_closed_refused_before_work(tmp_path, capsys, argv):
     assert list(tmp_path.glob("w*")) == []
 
 
-def test_wilson_blocks_over_budget_refused(tmp_path, capsys, monkeypatch):
-    # a dense block over the budget is refused once both sectors are built,
-    # before the solve: exit 2, one line naming both dimensions and the bytes
-    monkeypatch.setattr(cli, "DENSE_MAX_BYTES", 1000)
-    monkeypatch.setattr(cli, "diagonalize", lambda *a, **k: pytest.fail("solved over budget"))
+@pytest.mark.parametrize("nx, ny, k, k_prime", [
+    (3, 3, (0, 0), (0, 0)), (3, 3, (0, 0), (1, 0)), (3, 4, (1, 2), (2, 1)),
+])
+def test_wilson_blocks_write_stored_entries(tmp_path, nx, ny, k, k_prime):
+    # one row per nonzero entry, row-major; read back they give the dense block
     out = str(tmp_path / "w")
-    assert main(["wilson", "--nx", "3", "--ny", "3", "--blocks", "--sector-prime", "1", "0", "--out", out]) == 2
-    cfg = LatticeConfig(3, 3, BoundaryCondition.PERIODIC, 1.0)
-    dim, dim_p = spinbasis.build_sector(cfg, 0, 0).dim, spinbasis.build_sector(cfg, 1, 0).dim
-    err = capsys.readouterr().err
-    assert f"dense {dim_p}x{dim} block needs {dim_p * dim * 16} bytes" in err and err.count("\n") == 1
-    assert list(tmp_path.glob("w*")) == []
+    assert main(["wilson", "--nx", str(nx), "--ny", str(ny), "--blocks", "--sector", *map(str, k),
+                 "--sector-prime", *map(str, k_prime), "--out", out]) == 0
+    cfg = LatticeConfig(nx, ny, BoundaryCondition.PERIODIC, 1.0)
+    sector = spinbasis.build_sector(cfg, *k)
+    sector_p = spinbasis.build_sector(cfg, *k_prime, sector.orbits)
+    for name, make in (("o1", wilson1_block), ("o2", wilson2_block)):
+        dense = make(sector, sector_p).toarray()
+        lines = (tmp_path / f"w.{name}_block.csv").read_text().splitlines()
+        assert lines[0] == "row,col,re,im"
+        rows = [(int(r), int(c), float(re), float(im)) for r, c, re, im in (ln.split(",") for ln in lines[1:])]
+        assert [(r, c) for r, c, _, _ in rows] == sorted({(r, c) for r, c, _, _ in rows})
+        assert all(re != 0.0 or im != 0.0 for _, _, re, im in rows)
+        read = np.zeros(dense.shape, dtype=complex)
+        for r, c, re, im in rows:
+            read[r, c] = complex(re, im)
+        assert np.array_equal(read, dense)
 
 
 @pytest.mark.parametrize("chunk", [None, 3])

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from hexgauge.observables import (
     wilson1_operator,
     wilson2_operator,
 )
-from hexgauge.spinbasis import fold, state_array
+from hexgauge.momentum import hamiltonian_block
+from hexgauge.spinbasis import build_sector, fold, state_array
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -237,6 +239,62 @@ def test_evolve_norm_and_energy_drift():
     out = evolve(op, psi0, 25.0)
     assert abs(out.norm() - 1.0) < 1e-10
     assert abs(expectation(op.matrix, out).real - e0) < 1e-8 * max(1.0, abs(e0))
+
+
+@pytest.mark.parametrize("k, complex_block", [((1, 1), True), ((2, 3), True), ((0, 0), False), ((0, 2), False)])
+def test_evolve_sector_blocks_match_expm(k, complex_block):
+    # a complex H is multiplied as it is, a real one on the float view of the
+    # states; four columns at once, short, negative and long times
+    cfg = LatticeConfig(3, 4, P, 1.0)
+    op = hamiltonian_block(build_sector(cfg, *k))
+    assert np.iscomplexobj(op.matrix) == complex_block
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(op.dim, 4)) + 1j * rng.normal(size=(op.dim, 4))
+    for t in (0.03, -1.7, 40.0):
+        ref = scipy.linalg.expm(-1j * t * op.to_dense()) @ block
+        out = evolve(op, StateVector(block, op.label), t).amplitudes
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("matrix", [2.5 * scipy.sparse.identity(6, format="csr"), scipy.sparse.csr_matrix((6, 6))],
+                         ids=["2.5I", "zero"])
+def test_evolve_scalar_operator_is_a_phase(matrix):
+    # zero spectral width: the series is its first term, times the phase
+    op = SparseOperator(matrix, "scalar")
+    v = np.arange(6) + 1j
+    for t in (0.7, -3.0):
+        out = evolve(op, StateVector(v, "scalar"), t).amplitudes
+        assert np.max(np.abs(out - np.exp(-1j * matrix[0, 0] * t) * v)) < 1e-15
+
+
+def test_evolve_fortran_ordered_block():
+    cfg = LatticeConfig(2, 3, P, 1.0)
+    op = build_periodic(cfg)
+    rng = np.random.default_rng(2)
+    block = np.asfortranarray(rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3)))
+    given = block.copy()
+    out = evolve(op, StateVector(block, op.label), 1.3).amplitudes
+    ref = scipy.linalg.expm(-1.3j * op.to_dense()) @ given
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(block, given)
+
+
+def test_evolution_never_copies_h():
+    # a complex copy of H's stored values alone would take 16 bytes each
+    small = LatticeConfig(1, 1, C, 1.0)
+    evolve(build_closed(small), basis_state(small, 0), 1.0)  # the lazy imports, untraced
+    cfg = LatticeConfig(3, 5, C, 1.0)
+    op = build_closed(cfg)
+    assert not np.iscomplexobj(op.matrix) and op.matrix.nnz == 524288
+    psi0 = basis_state(cfg, 0)
+    tracemalloc.start()
+    try:
+        for _ in trajectory(op, psi0, np.linspace(0.0, 0.2, 5)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * op.matrix.nnz
 
 
 def test_level_spacing_equal_gaps():

@@ -16,7 +16,7 @@ def test_no_assert_statements():
 
 def test_solvers_only_in_observables():
     # one solver layer: eigen-solves and exp(-iHt) are taken in observables
-    solvers = {"eigh", "eigvalsh", "eigsh", "expm_multiply"}
+    solvers = {"eigh", "eigvalsh", "eigsh", "expm_multiply", "jv"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "observables.py":
