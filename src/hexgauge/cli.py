@@ -150,11 +150,35 @@ def cmd_basis(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     return 0, [path]
 
 
+def _write_items(f, items: list, pad: str):
+    """A non-empty list as json.dump(indent=2) lays it out with its closing
+    bracket at pad: BASIS_CHUNK items per write, each chunk's item texts
+    from json's C encoder."""
+    sep = ",\n" + pad + "  "
+    f.write("[" + sep[1:])
+    for lo in range(0, len(items), BASIS_CHUNK):
+        f.write((sep if lo else "") + json.dumps(items[lo:lo + BASIS_CHUNK], separators=(sep, ": "))[1:-1])
+    f.write("\n" + pad + "]")
+
+
 def cmd_sectors(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if not cfg.periodic:
         raise ValueError("sectors require periodic BC")
-    dump = {"config": cfg.to_dict(), "sectors": [s.to_dict() for s in all_sectors(cfg)]}
-    return 0, [_write_json(args.out + ".sectors.json", dump)]
+    # the bytes _write_json writes for {"config", "sectors": [s.to_dict()]},
+    # each sector's reps and norms in chunks (every sector keeps dim >= 1)
+    head = json.dumps({"config": cfg.to_dict()}, indent=2, sort_keys=True)
+    path = args.out + ".sectors.json"
+    with open(path, "w") as f:
+        f.write(head[:-2] + ',\n  "sectors": [')
+        for n, sector in enumerate(all_sectors(cfg)):
+            d = sector.to_dict()
+            f.write(f'{"," if n else ""}\n    {{\n      "dim": {d["dim"]},\n      "norms": ')
+            _write_items(f, d["norms"], "      ")
+            f.write(f',\n      "nx_q": {d["nx_q"]},\n      "ny_q": {d["ny_q"]},\n      "reps": ')
+            _write_items(f, d["reps"], "      ")
+            f.write("\n    }")
+        f.write("\n  ]\n}\n")
+    return 0, [path]
 
 
 def cmd_verify(cfg: LatticeConfig, args) -> tuple[int, list[str]]:

@@ -72,10 +72,16 @@ def basis_label(cfg: LatticeConfig, quotient: bool, k: tuple[int, int] | None = 
 
 @dataclass
 class SparseOperator:
-    """Hermitian sparse matrix over the basis states 0 .. dim-1."""
+    """Hermitian sparse matrix over the basis states 0 .. dim-1.
+
+    blocks, when given, are sparse (dim, d_i) matrices Q_i whose columns
+    together form an orthonormal basis in which H is real and block
+    diagonal; observables.diagonalize then solves each block on its own.
+    """
 
     matrix: scipy.sparse.csr_matrix
     label: str
+    blocks: list[scipy.sparse.csc_matrix] | None = None
 
     @property
     def dim(self) -> int:

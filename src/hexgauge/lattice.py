@@ -143,6 +143,15 @@ def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, ...]:
     return tuple(resolve(cfg, i + di, j + dj) for di, dj in CHAIN8)
 
 
+def inversion(cfg: LatticeConfig) -> tuple[int, ...]:
+    """Site index of the image (-i, -j) of every plaquette, wrapped.  It maps
+    each chain onto its image's chain rotated by half a turn and every bond
+    onto a bond, so it commutes with H on every periodic lattice."""
+    if not cfg.periodic:
+        raise ValueError("inversion about the origin is only defined for periodic BC")
+    return tuple(resolve(cfg, -i, -j) for i, j in map(cfg.coord, range(cfg.n_plaq)))
+
+
 def bonds(cfg: LatticeConfig) -> list[tuple[int, int]]:
     """All bonds as (site, partner site or -1).
 

@@ -7,6 +7,10 @@ exp(-i k.l) and the norm ratio sqrt(N_b/N_a) restores unit normalization.
 Every phase is read from spinbasis.root_table, so each is an exact root of
 unity.  One flip pass fills every off-diagonal block: the Wilson loops at
 the origin, and the magnetic block through H_x = -sum_p O_1(p).
+
+The Hamiltonian block carries an inversion-adapted basis (inversion_blocks):
+two real parity blocks at k = -k, one basis in which H is real elsewhere,
+so every dense solve of a sector is a real one.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import numpy as np
 import scipy.sparse
 
 from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, inversion
 from .observables import diagonalize
 from .spinbasis import (
-    MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, root_table, translate,
+    MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, permute, root_table, translate,
 )
 
 
@@ -38,8 +42,8 @@ def _targets(sector: MomentumSector, flipped: np.ndarray):
     return row, hit, sector.norms[row], ((-g) % cfg.nx, (-(g // cfg.nx)) % cfg.ny)
 
 
-def _operator(sector: MomentumSector, matrix) -> SparseOperator:
-    return SparseOperator(matrix, basis_label(sector.cfg, True, (sector.nx_q, sector.ny_q)))
+def _operator(sector: MomentumSector, matrix, blocks=None) -> SparseOperator:
+    return SparseOperator(matrix, basis_label(sector.cfg, True, (sector.nx_q, sector.ny_q)), blocks)
 
 
 def hzz_block(sector: MomentumSector) -> SparseOperator:
@@ -57,9 +61,47 @@ def hx_block(sector: MomentumSector) -> SparseOperator:
 
 def hamiltonian_block(sector: MomentumSector) -> SparseOperator:
     """J * H_zz + h_x * H_x restricted to the sector; real (float64) where
-    H_x is, as at every k = -k (k components 0 or pi)."""
+    H_x is, as at every k = -k (k components 0 or pi).  Its blocks are the
+    sector's inversion_blocks."""
     lam = sector.cfg.lam
-    return _operator(sector, j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix)
+    matrix = j_zz(lam) * hzz_block(sector).matrix + h_x(lam) * hx_block(sector).matrix
+    return _operator(sector, matrix, inversion_blocks(sector))
+
+
+def inversion_blocks(sector: MomentumSector) -> list[scipy.sparse.csc_matrix]:
+    """Orthonormal column blocks over the sector in which H is real.
+
+    Inversion P maps |a(k)> to exp(ik.l)|b(-k)>, b the representative of
+    a's image and T^l that image's offset from it, so A = K P (K complex
+    conjugation) keeps k and maps |a(k)> to s_a |b(k)>, s_a = exp(-ik.l).
+    A commutes with H and A^2 = 1 (so s_b = s_a), and H is real on A's
+    fixed vectors: w_a|a> with w_a^2 = s_a where b = a, and for a < b the
+    pair (|a> + s_a|b>)/sqrt2 in column a, i(|a> - s_a|b>)/sqrt2 in column
+    b.  At k = -k, s_a = +-1 is P's own phase: the same columns without the
+    i and w are P's real eigenvectors, split into an even and an odd block
+    (the odd one may be empty).
+    """
+    cfg, n, dim = sector.cfg, sector.cfg.n_plaq, sector.dim
+    b, hit, _, (lx, ly) = _targets(sector, permute(sector.reps, inversion(cfg)))
+    a = np.arange(dim)
+    m = -momentum_numerator(cfg, sector.nx_q, sector.ny_q, lx, ly)
+    s = root_table(n)[m % n]
+    if not (hit.all() and np.array_equal(b[b], a) and np.array_equal(s[b], s)):
+        raise RuntimeError(f"inversion does not map sector ({sector.nx_q}, {sector.ny_q}) onto itself")
+    real = (2 * sector.nx_q) % cfg.nx == 0 and (2 * sector.ny_q) % cfg.ny == 0  # k = -k
+    s, w, u = (s.real, 1.0, 1.0) if real else (s, root_table(2 * n)[m % (2 * n)], 1j)
+    r = np.sqrt(0.5)
+    lo, hi = a < b, a > b
+    ca = np.where(lo, r, np.where(hi, -u * r * s, w))
+    cb = np.where(lo, r * s, np.where(hi, u * r, 0.0))
+    # column a stores ca at row a and cb at row b; where b = a the two sum
+    q = scipy.sparse.csc_matrix((np.column_stack([ca, cb]).ravel(), np.column_stack([a, b]).ravel(),
+                                 np.arange(0, 2 * dim + 1, 2)), (dim, dim))
+    q.sum_duplicates()
+    if not real:
+        return [q]
+    even = lo | ((a == b) & (s > 0))
+    return [q[:, even], q[:, ~even]]
 
 
 def wilson1_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.sparse.csr_matrix:

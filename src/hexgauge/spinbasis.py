@@ -65,6 +65,15 @@ def translate(s, rx: int, ry: int, cfg: LatticeConfig):
     return ((s << rx) & (full ^ lo)) | ((s >> (nx - rx)) & lo)
 
 
+def permute(states: np.ndarray, perm) -> np.ndarray:
+    """Move the bit of site p to site perm[p] in every state of an int64
+    array; perm is a site table such as lattice.inversion."""
+    out = np.zeros_like(states)
+    for p, q in enumerate(perm):
+        out |= ((states >> p) & 1) << q
+    return out
+
+
 @dataclass(eq=False)
 class OrbitTable:
     """Orbits of the group generated by T_x, T_y and the global flip.

@@ -225,6 +225,22 @@ def test_basis_bytes_match_json_dump(tmp_path, monkeypatch, nx, ny, bc, chunk):
     assert (tmp_path / "b.basis.json").read_bytes() == (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode()
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 3), (3, 4)])
+def test_sectors_bytes_match_json_dump(tmp_path, monkeypatch, nx, ny, chunk):
+    # each sector's reps and norms, written in chunks, give the bytes
+    # json.dump writes for the whole dict
+    if chunk:
+        monkeypatch.setattr(cli, "BASIS_CHUNK", chunk)
+    assert main(["sectors", "--nx", str(nx), "--ny", str(ny), "--out", str(tmp_path / "s")]) == 0
+    cfg = LatticeConfig(nx, ny, BoundaryCondition.PERIODIC, 1.0)
+    dump = {"config": cfg.to_dict(),
+            "sectors": [{"nx_q": s.nx_q, "ny_q": s.ny_q, "dim": s.dim, "norms": s.norms.tolist(),
+                         "reps": [format(r, "x") for r in s.reps.tolist()]}
+                        for s in spinbasis.all_sectors(cfg)]}
+    assert (tmp_path / "s.sectors.json").read_bytes() == (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_flag_overrides(tmp_path):
     out = str(tmp_path / "o")
     assert main(["basis", "--nx", "1", "--ny", "1", "--bc", "closed", "--lam", "1.0",

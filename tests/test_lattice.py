@@ -6,6 +6,7 @@ from hexgauge.lattice import (
     BoundaryCondition,
     LatticeConfig,
     bonds,
+    inversion,
     neighbor_chain6,
     neighbor_chain8,
 )
@@ -124,3 +125,23 @@ def test_config_rejects_malformed(d, words):
     # ValueError naming the problem, not a TypeError or KeyError
     with pytest.raises(ValueError, match=words):
         LatticeConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3), (3, 4), (4, 4), (3, 5)])
+def test_inversion_maps_chains_and_bonds(nx, ny):
+    # an involution fixing the origin that maps each plaquette's chain onto
+    # its image's chain turned by half a cycle, and bonds onto bonds
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    inv = inversion(cfg)
+    assert inv[0] == 0 and [inv[q] for q in inv] == list(range(cfg.n_plaq))
+    for p in range(cfg.n_plaq):
+        chain = [inv[q] for q in neighbor_chain6(cfg.coord(p), cfg)]
+        image = neighbor_chain6(cfg.coord(inv[p]), cfg)
+        assert chain == list(image[3:] + image[:3])
+    key = sorted(tuple(sorted(b)) for b in bonds(cfg))
+    assert sorted(tuple(sorted((inv[p], inv[q]))) for p, q in bonds(cfg)) == key
+
+
+def test_inversion_needs_periodic_bc():
+    with pytest.raises(ValueError, match="periodic"):
+        inversion(LatticeConfig(2, 3, C, 1.0))

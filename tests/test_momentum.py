@@ -12,19 +12,26 @@ from sector_reference import wilson_block as ref_wilson_block
 
 from hexgauge.hamiltonian import build_periodic, h_x, j_zz
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
+from hexgauge.lattice import inversion
 from hexgauge.momentum import (
     hamiltonian_block,
     hx_block,
     hzz_block,
+    inversion_blocks,
     momentum_transform,
     sector_spectra,
     wilson1_block,
     wilson2_block,
 )
 from hexgauge.observables import diagonalize, wilson1_operator, wilson2_operator
-from hexgauge.spinbasis import all_sectors, build_sector
+from hexgauge.spinbasis import all_sectors, build_sector, fold, permute, state_array
 
 P = BoundaryCondition.PERIODIC
+
+
+def self_conjugate(sector):
+    """k = -k: both components of k are 0 or pi."""
+    return (2 * sector.nx_q) % sector.cfg.nx == 0 and (2 * sector.ny_q) % sector.cfg.ny == 0
 
 
 def test_hzz_vacuum():
@@ -245,10 +252,9 @@ def test_self_conjugate_blocks_real(nx, ny):
     # at k = -k every phase is +-1 exactly, so the blocks are stored real
     cfg = LatticeConfig(nx, ny, P, 1.0)
     for sector in all_sectors(cfg):
-        self_conjugate = (2 * sector.nx_q) % nx == 0 and (2 * sector.ny_q) % ny == 0
         for block in (hamiltonian_block(sector).matrix, hx_block(sector).matrix,
                       wilson1_block(sector, sector), wilson2_block(sector, sector)):
-            assert (block.dtype == np.float64) == self_conjugate
+            assert (block.dtype == np.float64) == self_conjugate(sector)
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 4)])
@@ -275,3 +281,94 @@ def test_complex_block_mtx_roundtrip(tmp_path):
     # the block is Hermitian to rounding
     assert np.array_equal(np.tril(back), np.tril(dense))
     assert np.max(np.abs(back - dense)) < 1e-14
+
+
+# Every periodic lattice from 2x2 to 3x5.  On 3x5 (15 complex blocks of
+# dim about 1090) only k = 0 and the pair k = +-(1, 1) are solved, so the
+# reference eigvalsh calls stay within a few seconds.
+INVERSION_LATTICES = [(nx, ny) for nx in (2, 3) for ny in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("lam", [0.37, 1.0, 2.9])
+@pytest.mark.parametrize("nx,ny", INVERSION_LATTICES)
+def test_inversion_blocks_solve_every_sector(nx, ny, lam):
+    # the block-by-block real solve gives the eigenvalues of the plain
+    # dense solve of the momentum block, with orthonormal eigenvectors
+    cfg = LatticeConfig(nx, ny, P, lam)
+    sectors = all_sectors(cfg)
+    if cfg.n_plaq > 12:
+        sectors = [s for s in sectors if (s.nx_q, s.ny_q) in {(0, 0), (1, 1), (nx - 1, ny - 1)}]
+    for sector in sectors:
+        op = hamiltonian_block(sector)
+        spec = diagonalize(op, "full")
+        ref = np.linalg.eigvalsh(op.to_dense())
+        assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+        v = spec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(sector.dim))) < 1e-12
+        assert sum(q.shape[1] for q in op.blocks) == sector.dim
+        if self_conjugate(sector):
+            # two real parity blocks, so the eigenvectors stay float64
+            assert len(op.blocks) == 2 and v.dtype == np.float64
+        else:
+            assert len(op.blocks) == 1
+
+
+def _real_space_inversion(cfg):
+    """P on the quotient basis, x one vector per column: (P x)[fold(permute(s))] = x[s]."""
+    image = fold(permute(state_array(cfg, True), inversion(cfg)), cfg)
+
+    def apply(x):
+        out = np.zeros_like(x)
+        out[image] = x
+        return out
+
+    return apply
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])
+def test_inversion_blocks_are_parity_and_real_forms(nx, ny):
+    # written out in the quotient basis, the columns are P's even and odd
+    # eigenvectors at k = -k, and fixed by A = K P elsewhere
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    inv = _real_space_inversion(cfg)
+    for sector in all_sectors(cfg):
+        u = momentum_transform(sector)
+        blocks = inversion_blocks(sector)
+        q = np.hstack([b.toarray() for b in blocks])
+        assert np.max(np.abs(q.conj().T @ q - np.eye(sector.dim))) < 1e-14
+        if self_conjugate(sector):
+            for sign, block in zip((1, -1), blocks):
+                v = u @ block.toarray()
+                assert np.max(np.abs(inv(v) - sign * v), initial=0.0) < 1e-13
+        else:
+            v = u @ blocks[0].toarray()
+            assert np.max(np.abs(inv(v.conj()) - v)) < 1e-13
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3)])
+def test_inversion_empty_odd_block(nx, ny):
+    # every k = 0 state of these lattices is inversion even
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    op = hamiltonian_block(build_sector(cfg, 0, 0))
+    assert [q.shape[1] for q in op.blocks] == [op.dim, 0]
+    spec = diagonalize(op, "full")
+    assert spec.eigenvectors.shape == (op.dim, op.dim)
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(op.to_dense()), rtol=0, atol=1e-12)
+
+
+def test_inversion_splits_3x5_vacuum_block():
+    op = hamiltonian_block(build_sector(LatticeConfig(3, 5, P, 1.0), 0, 0))
+    assert [q.shape[1] for q in op.blocks] == [612, 484]
+
+
+def test_inversion_blocks_refuse_a_broken_image(monkeypatch):
+    # a site table that is not the inversion maps some representative
+    # outside the sector or fails to pair it back
+    import hexgauge.momentum as momentum
+
+    cfg = LatticeConfig(3, 3, P, 1.0)
+    sector = build_sector(cfg, 1, 0)
+    cycle = tuple(range(1, cfg.n_plaq)) + (0,)
+    monkeypatch.setattr(momentum, "inversion", lambda c: cycle)
+    with pytest.raises(RuntimeError, match="onto itself"):
+        inversion_blocks(sector)

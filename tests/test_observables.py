@@ -217,6 +217,28 @@ def test_vacuum_quench_o1_series_vs_expm():
         assert abs(v.imag) < 1e-10
 
 
+def test_expectation_keeps_a_real_matrix_real():
+    # a real H acts on the state's float view: the product never copies
+    # H's values to complex (8.4 MB on closed 3x5), and the value is the
+    # one the complex product gives
+    cfg = LatticeConfig(3, 5, C, 1.0)
+    h = build_closed(cfg).matrix
+    rng = np.random.default_rng(3)
+    psi = StateVector(rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0]), "closed-full:3x5")
+    tracemalloc.start()
+    try:
+        value = expectation(h, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * h.nnz
+    assert value == complex(np.vdot(psi.amplitudes, h.astype(complex) @ psi.amplitudes))
+    # a column of a matrix is not contiguous; a complex matrix takes the plain product
+    block = np.stack([psi.amplitudes, psi.amplitudes], axis=1)
+    assert expectation(h, StateVector(block[:, 0], psi.label)) == value
+    assert expectation(h.astype(complex), psi) == value
+
+
 def test_evolution_needs_no_dense_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense eigensolver called")
@@ -339,6 +361,26 @@ def test_lowest_mode_refuses_tiny_operators():
             diagonalize(op, mode="lowest")
     assert diagonalize(real).eigenvalues[0] == 2.0
     assert diagonalize(herm).eigenvalues[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_full_mode_checks_its_blocks():
+    # blocks that do not commute with the matrix, or in which it is not
+    # real, are refused by a raise that survives python -O
+    e0, e1 = (scipy.sparse.csc_matrix(np.eye(2)[:, [i]]) for i in range(2))
+    coupled = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 0.5], [0.5, 2.0]])), "test:2", [e0, e1])
+    with pytest.raises(RuntimeError, match="not invariant and real"):
+        diagonalize(coupled)
+    herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), "test:2",
+                          [scipy.sparse.csc_matrix(np.eye(2))])
+    with pytest.raises(RuntimeError, match="not invariant and real"):
+        diagonalize(herm, vectors=False)
+    # the same matrices with blocks that fit them
+    coupled.blocks = [scipy.sparse.csc_matrix(np.eye(2))]
+    assert np.allclose(diagonalize(coupled).eigenvalues, np.linalg.eigvalsh(coupled.to_dense()))
+    r = np.sqrt(0.5)
+    herm.blocks = [scipy.sparse.csc_matrix(np.array([[r, 1j * r], [1j * r, r]]))]
+    spec = diagonalize(herm)
+    assert np.allclose(spec.eigenvalues, [0.0, 2.0], rtol=0, atol=1e-15)
 
 
 def test_full_mode_checks_byte_budget(monkeypatch):

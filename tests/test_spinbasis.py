@@ -18,6 +18,7 @@ from hexgauge.spinbasis import (
     fold,
     full_mask,
     momentum_phase,
+    permute,
     root_table,
     state_array,
     translate,
@@ -214,3 +215,13 @@ def test_sectors_match_sweep(nx, ny):
         kept = [(r, n) for r, n in zip(reps, norms) if n > 1e-12]
         assert sector.reps.tolist() == [r for r, _ in kept]
         assert sector.norms.tolist() == [n for _, n in kept]
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (3, 4)])
+def test_permute_moves_bits(nx, ny):
+    # a translation written as a site table permutes as translate does
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    states = state_array(cfg, False)
+    shift = [cfg.site((i + 1) % nx, (j + 2) % ny) for i, j in map(cfg.coord, range(cfg.n_plaq))]
+    assert np.array_equal(permute(states, shift), translate(states, 1, 2, cfg))
+    assert np.array_equal(permute(states, range(cfg.n_plaq)), states)
