@@ -145,6 +145,12 @@ class Circuit:
             raise ValueError(f"cannot extend a {self.n_qubits}-qubit circuit by a {other.n_qubits}-qubit one")
         self.gates.extend(other.gates)
 
+    def repeated(self, steps: int) -> "Circuit":
+        """A new circuit of this one's gates `steps` >= 1 times over."""
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        return Circuit(self.n_qubits, self.gates * steps)
+
     def to_qasm(self) -> str:
         lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{self.n_qubits}];"]
         for g in self.gates:
@@ -242,13 +248,7 @@ def emit_trotter_step(cfg: LatticeConfig, dt: float) -> Circuit:
 
 def emit_trotter_circuit(cfg: LatticeConfig, dt: float, steps: int) -> Circuit:
     """`steps` repetitions of the single Trotter step."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    step = emit_trotter_step(cfg, dt)
-    circ = Circuit(cfg.n_plaq)
-    for _ in range(steps):
-        circ.extend(step)
-    return circ
+    return emit_trotter_step(cfg, dt).repeated(steps)
 
 
 # ---------------------------------------------------------------------------

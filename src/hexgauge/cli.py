@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import emit_trotter_circuit, emit_trotter_step, verify_circuit, VERIFY_MAX_QUBITS
+from .circuit import emit_trotter_step, verify_circuit, VERIFY_MAX_QUBITS
 from .hamiltonian import build_hamiltonian
 from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
@@ -233,13 +233,14 @@ def cmd_evolve(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_emit_circuit(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
-    circ = emit_trotter_circuit(cfg, args.dt, args.steps)
+    # the step is built once: repeated for the circuit, verified on its own
+    step = emit_trotter_step(cfg, args.dt)
+    circ = step.repeated(args.steps)
     qasm = args.emit_qasm or (args.out + ".qasm")
     with open(qasm, "w") as f:
         f.write(circ.to_qasm())
     report = {"qubits": cfg.n_plaq, "gates": len(circ.gates), "dt": args.dt, "steps": args.steps}
     if cfg.n_plaq <= VERIFY_MAX_QUBITS:
-        step = emit_trotter_step(cfg, args.dt)
         report["step_deviation"] = verify_circuit(step, cfg, args.dt)
     return 0, [qasm, _write_json(args.out + ".circuit.json", report)]
 

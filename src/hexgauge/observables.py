@@ -5,7 +5,9 @@ the full 2^N basis for closed BC, the flip-quotient basis for periodic.
 Every eigen-solve and every exp(-iHt) goes through this module.  Evolution
 is a Chebyshev expansion of the sparse H over its Gershgorin interval
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) to double precision, so
-norm and energy are conserved to rounding.
+norm and energy are conserved to rounding.  Consecutive output times share
+one series, whose terms T_k(H) psi are added into all their states, so fine
+steps cost about 4 products with H per unit of half-width * t.
 """
 
 from __future__ import annotations
@@ -23,13 +25,22 @@ from .spinbasis import basis_dim, fold, state_array
 RESIDUAL_TOL = 1e-8
 # Bytes a dense solve may take: a quarter of an 8 GB machine.
 DENSE_MAX_BYTES = 1 << 31
-# Largest half * |dt| of one evolution step, half being the half-width of
-# H's Gershgorin interval.  The Chebyshev series of a step needs about
-# half * |dt| + 15 products with H, so its work grows linearly with the
-# product: at 1e4 about 1e4 products, 0.25 s on periodic 2x2 (one core).  The
-# largest step a test or the benchmark takes is about 700 (periodic 3x3 to
-# t = 50 at once); a step of 1e20 would never finish.
+# Largest half * |dt| between consecutive output times, half being the
+# half-width of H's Gershgorin interval.  A step that long is a Chebyshev
+# series of its own, of a little over half * |dt| products with H (155 at
+# 100), so its work grows linearly with the product: at 1e4 about 1e4
+# products, 0.25 s on periodic 2x2 (one core).  The largest step a test or
+# the benchmark takes is about 700 (periodic 3x3 to t = 50 at once); a step
+# of 1e20 would never finish.
 MAX_STEP_NORM = 1e4
+# Output times share one series while half * |t - t0| stays within
+# WINDOW_SPAN, t0 being the time of the state the window starts from, and
+# their states within WINDOW_MAX_BYTES; a window always holds one time.  A
+# window of span 8 takes 33 products with H, about 4 per unit of half * t,
+# where a series per step of half * |dt| = 0.5 takes 13, or 26 per unit.  At
+# 2^21 amplitudes (periodic 22 plaquettes) a window is one time.
+WINDOW_SPAN = 8.0
+WINDOW_MAX_BYTES = 1 << 25
 # Chebyshev coefficients below this are dropped from the series.
 CHEB_TOL = 1e-18
 
@@ -216,11 +227,12 @@ def evolve(op: SparseOperator, psi0: StateVector, t: float) -> StateVector:
 
 
 def trajectory(op: SparseOperator, psi0: StateVector, times):
-    """Yield (t, exp(-i H t)|psi0>), each a Chebyshev step to double precision
-    from the previous time (psi0 at t = 0); times may repeat or run backward.
-    psi0 may be a (dim, n) block with one state per column.  H's spectrum is
-    bounded once, by its Gershgorin interval [mid - half, mid + half]; a step
-    with half * |dt| over MAX_STEP_NORM is refused before the first one runs."""
+    """Yield (t, exp(-i H t)|psi0>) to double precision, one Chebyshev series
+    per window of consecutive times (psi0 at t = 0); times may repeat or run
+    backward.  psi0 may be a (dim, n) block with one state per column; the
+    states of a window are columns of one array.  H's spectrum is bounded
+    once, by its Gershgorin interval [mid - half, mid + half]; a step with
+    half * |dt| over MAX_STEP_NORM is refused before the first one runs."""
     times = np.asarray(times, dtype=float)
     step = float(np.abs(np.diff(times, prepend=0.0)).max(initial=0.0))
     h = op.matrix
@@ -242,44 +254,52 @@ def trajectory(op: SparseOperator, psi0: StateVector, times):
 
 
 def _steps(h, mid: float, half: float, psi0: StateVector, times: np.ndarray):
-    """exp(-i H dt) = exp(-i mid dt) sum_k c_k T_k((H - mid) / half) with
-    c_k = (2 - delta_k0) (-i sgn dt)^k J_k(half |dt|), by the three-term
-    recurrence T_k+1 = 2 A T_k - T_k-1."""
-    # imported here: at module level it would add about 40 ms to every import of hexgauge
+    """The states at `times`, one Chebyshev series per window of them.
+
+    A window starts from the state at t0: psi0 at 0, then the last state of
+    the window before.  With A = (H - mid) / half and tau = t - t0,
+    exp(-i H tau) = sum_k c_k(tau) T_k(A) with
+    c_k(tau) = (2 - delta_k0) (-i sgn tau)^k J_k(half |tau|) exp(-i mid tau).
+    The vectors T_k(A) psi come from the three-term recurrence
+    T_k+1 = 2 A T_k - T_k-1 and do not depend on tau, so each is added into
+    every state of the window at once, a rank-1 update of a (size, W) array."""
+    # imported here: at module level jv would add about 40 ms to every import of hexgauge
+    from scipy.linalg.blas import zaxpy, zgeru
     from scipy.special import jv
 
     powers = np.array([1, -1j, -1, 1j])
-
-    def shifted(x, scale):
-        """scale * (H - mid) x for a C-contiguous x."""
-        y = _product(h, x)
-        y -= mid * x
-        y *= scale
-        return y
-
-    t_prev, amps = 0.0, np.array(psi0.amplitudes, dtype=complex, order="C")
-    for t in times:
-        if t != t_prev:
-            dt, t_prev = t - t_prev, t
-            z = half * abs(dt)
-            # |J_k(z)| falls monotonically once k > z
-            n = int(z) + 20
-            while abs(jv(n, z)) >= CHEB_TOL:
-                n *= 2
-            k = np.arange(n)
-            coef = 2 * jv(k, z) * (powers if dt > 0 else powers.conj())[k % 4]
-            coef[0] /= 2
-            coef = coef[: np.flatnonzero(np.abs(coef) >= CHEB_TOL)[-1] + 1]
-            out, prev, cur = coef[0] * amps, None, amps
-            for c in coef[1:]:
-                nxt = shifted(cur, (1 if prev is None else 2) / half)
-                if prev is not None:
-                    nxt -= prev
-                prev, cur = cur, nxt
-                out += c * cur
-            out *= np.exp(-1j * mid * dt)
-            amps = out
-        yield float(t), StateVector(amps, psi0.label)
+    amps, t0, start = np.ascontiguousarray(psi0.amplitudes), 0.0, 0
+    fits = max(1, WINDOW_MAX_BYTES // amps.nbytes)
+    while start < len(times):
+        stop = start + 1
+        while stop < min(len(times), start + fits) and half * abs(times[stop] - t0) <= WINDOW_SPAN:
+            stop += 1
+        tau = times[start:stop] - t0
+        z = half * np.abs(tau)
+        # |J_k(z)| falls monotonically once k > z
+        n = int(z.max()) + 20
+        while abs(jv(n, z.max())) >= CHEB_TOL:
+            n *= 2
+        k = np.arange(n)[:, None]
+        phase = np.where(tau < 0, powers.conj()[k % 4], powers[k % 4])
+        coef = 2 * jv(k, z) * phase * np.exp(-1j * mid * tau)
+        coef[0] /= 2
+        coef = coef[: np.flatnonzero(np.abs(coef).max(axis=1) >= CHEB_TOL)[-1] + 1]
+        # zgeru and zaxpy write into their contiguous arguments and return them
+        out = zgeru(1.0, amps.reshape(-1), coef[0], a=np.zeros((amps.size, len(tau)), complex, order="F"),
+                    overwrite_a=1)
+        prev, cur = None, amps
+        for c in coef[1:]:
+            # nxt = (2 - delta_k0) A cur - prev, with no state-sized temporaries
+            nxt = zaxpy(cur.reshape(-1), _product(h, cur).reshape(-1), a=-mid).reshape(amps.shape)
+            nxt *= (1 if prev is None else 2) / half
+            if prev is not None:
+                nxt -= prev
+            prev, cur = cur, nxt
+            out = zgeru(1.0, cur.reshape(-1), c, a=out, overwrite_a=1)
+        for t, state in zip(times[start:stop], out.T):
+            yield float(t), StateVector(state.reshape(amps.shape), psi0.label)
+        amps, t0, start = out[:, -1].reshape(amps.shape), times[stop - 1], stop
 
 
 # ---------------------------------------------------------------------------

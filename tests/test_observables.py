@@ -10,7 +10,9 @@ import scipy.sparse
 from hexgauge.circuit import emit_trotter_step, verify_circuit
 from hexgauge.hamiltonian import SparseOperator, build_closed, build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
+from hexgauge import observables
 from hexgauge.observables import (
+    WINDOW_SPAN,
     StateVector,
     basis_state,
     diagonalize,
@@ -317,6 +319,71 @@ def test_evolution_never_copies_h():
     finally:
         tracemalloc.stop()
     assert peak < 16 * op.matrix.nnz
+
+
+def test_one_time_evolution_keeps_few_states():
+    # the series writes its sum and recurrence in place: the result and the
+    # three recurrence vectors, not a copy of the start or a temporary per term
+    small = LatticeConfig(1, 1, C, 1.0)
+    evolve(build_closed(small), basis_state(small, 0), 1.0)  # the lazy imports, untraced
+    cfg = LatticeConfig(3, 5, C, 1.0)
+    op = build_closed(cfg)
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+    given = block.copy()
+    tracemalloc.start()
+    try:
+        evolve(op, StateVector(block, op.label), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * block.nbytes
+    assert np.array_equal(block, given)
+
+
+# repeated times, a sign change inside the first window (0.1 then -0.1 from
+# t0 = 0), a forward run and a backward one
+WINDOW_TIMES = np.concatenate([[0.0, 0.1, -0.1, 0.25, 0.25], np.linspace(0.4, 4.0, 13),
+                               np.linspace(3.8, 1.0, 8), [1.0]])
+
+
+@pytest.mark.parametrize("make", [lambda: build_closed(LatticeConfig(2, 3, C, 1.0)),
+                                  lambda: hamiltonian_block(build_sector(LatticeConfig(3, 4, P, 1.0), 1, 1))],
+                         ids=["closed-2x3-real", "periodic-3x4-k11-complex"])
+def test_windowed_series_matches_expm(make):
+    op = make()
+    dense = op.to_dense()
+    e = np.linalg.eigvalsh(dense)
+    # H's Gershgorin half-width is at least half its spectral width: the
+    # grid spans several windows
+    assert (e[-1] - e[0]) / 2 * np.ptp(WINDOW_TIMES) > 3 * WINDOW_SPAN
+    rng = np.random.default_rng(6)
+    block = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+    vector = block[:, 0].copy()
+    runs = [list(trajectory(op, StateVector(psi0, op.label), WINDOW_TIMES)) for psi0 in (vector, block)]
+    for n, t in enumerate(WINDOW_TIMES):
+        u = scipy.linalg.expm(-1j * t * dense)
+        for psi0, states in zip((vector, block), runs):
+            ref = u @ psi0
+            assert states[n][0] == t and states[n][1].amplitudes.shape == psi0.shape
+            assert np.linalg.norm(states[n][1].amplitudes - ref) <= 1e-12 * np.linalg.norm(ref)
+    for states in runs:
+        # a repeated time gives the same state
+        assert np.array_equal(states[3][1].amplitudes, states[4][1].amplitudes)
+        assert np.array_equal(states[-2][1].amplitudes, states[-1][1].amplitudes)
+
+
+def test_trajectory_shares_one_series_per_window(monkeypatch):
+    # 201 times of closed 2x5 to t = 5: a series per step takes 2600
+    # products with H, one series per window about 450
+    cfg = LatticeConfig(2, 5, C, 1.0)
+    op = build_closed(cfg)
+    calls = []
+    product = observables._product
+    monkeypatch.setattr(observables, "_product", lambda h, x: calls.append(x.shape) or product(h, x))
+    for _ in trajectory(op, basis_state(cfg, 0x2A5), np.linspace(0.0, 5.0, 201)):
+        pass
+    assert 0 < len(calls) <= 600
 
 
 def test_level_spacing_equal_gaps():
