@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command reads a JSON lattice config (flags may override single
-fields) and writes CSV/JSON outputs; main adds a manifest with their sha256
-digests and the argv it was given. Runs are fully deterministic:
+fields) and writes its outputs as <out>.<ext>; main adds <out>.manifest.json
+beside them, listing each by name with its sha256 digest, and the argv it
+was given. Runs are fully deterministic:
 re-running with the same config reproduces byte-identical files.
 """
 
@@ -92,11 +93,13 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _wilson_operators(cfg: LatticeConfig):
-    """O1 and O2 at the origin; O2 is None where the 2-plaquette loop is not
-    defined: a closed lattice needs a second row for the partner plaquette,
-    and a periodic one ny >= 3 to keep the eight-plaquette chain off the loop."""
+    """O1 and O2 at the origin; O2 is None where lattice.neighbor_chain8
+    refuses the origin pair, which then has no 2-plaquette loop."""
     o1 = wilson1_operator(cfg, (0, 0))
-    return o1, (wilson2_operator(cfg, (0, 0)) if cfg.ny >= (3 if cfg.periodic else 2) else None)
+    try:
+        return o1, wilson2_operator(cfg, (0, 0))
+    except ValueError:
+        return o1, None
 
 
 # Every command takes (cfg, args) and returns (exit code, paths written);
@@ -104,22 +107,19 @@ def _wilson_operators(cfg: LatticeConfig):
 
 def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if args.sectors:
-        if not cfg.periodic:
-            raise ValueError("--sectors requires periodic BC")
+        # sector_spectra runs, and refuses closed BC, before the file opens
         rows = ((nx_q, ny_q, k, v) for nx_q, ny_q, vals in sector_spectra(cfg)
                 for k, v in enumerate(vals.tolist()))
-        return 0, [_write_csv(args.out + ".sectors.csv", "nx_q,ny_q,index,eigenvalue", rows)]
-    if cfg.periodic:
-        # the translation sectors split H into blocks whose spectra
-        # together are H's; closed BC has no translations to split by
-        vals = np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)]))
-        op = build_hamiltonian(cfg) if args.export_mtx else None
+        paths = [_write_csv(args.out + ".sectors.csv", "nx_q,ny_q,index,eigenvalue", rows)]
     else:
-        op = build_hamiltonian(cfg)
-        vals = diagonalize(op, mode="full", vectors=False).eigenvalues
-    paths = [_write_csv(args.out + ".spectrum.csv", "index,eigenvalue", enumerate(vals.tolist()))]
+        # the translation sectors split a periodic H into blocks whose
+        # spectra together are H's; closed BC has no translations to split by
+        vals = (np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)])) if cfg.periodic
+                else diagonalize(build_hamiltonian(cfg), mode="full", vectors=False).eigenvalues)
+        paths = [_write_csv(args.out + ".spectrum.csv", "index,eigenvalue", enumerate(vals.tolist()))]
     if args.export_mtx:
-        op.export_mtx(args.out + ".mtx")
+        # the real-space H, whichever route gave the eigenvalues
+        build_hamiltonian(cfg).export_mtx(args.out + ".mtx")
         paths.append(args.out + ".mtx")
     return 0, paths
 
@@ -162,20 +162,19 @@ def _write_items(f, items: list, pad: str):
 
 
 def cmd_sectors(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
-    if not cfg.periodic:
-        raise ValueError("sectors require periodic BC")
-    # the bytes _write_json writes for {"config", "sectors": [s.to_dict()]},
-    # each sector's reps and norms in chunks (every sector keeps dim >= 1)
+    sectors = all_sectors(cfg)  # closed BC is refused here, before the file opens
+    # the bytes _write_json writes for {"config", "sectors": [{"dim", "norms",
+    # "nx_q", "ny_q", "reps" as hex words}]}, reps and norms in chunks
+    # (every sector keeps dim >= 1)
     head = json.dumps({"config": cfg.to_dict()}, indent=2, sort_keys=True)
     path = args.out + ".sectors.json"
     with open(path, "w") as f:
         f.write(head[:-2] + ',\n  "sectors": [')
-        for n, sector in enumerate(all_sectors(cfg)):
-            d = sector.to_dict()
-            f.write(f'{"," if n else ""}\n    {{\n      "dim": {d["dim"]},\n      "norms": ')
-            _write_items(f, d["norms"], "      ")
-            f.write(f',\n      "nx_q": {d["nx_q"]},\n      "ny_q": {d["ny_q"]},\n      "reps": ')
-            _write_items(f, d["reps"], "      ")
+        for n, sector in enumerate(sectors):
+            f.write(f'{"," if n else ""}\n    {{\n      "dim": {sector.dim},\n      "norms": ')
+            _write_items(f, sector.norms.tolist(), "      ")
+            f.write(f',\n      "nx_q": {sector.nx_q},\n      "ny_q": {sector.ny_q},\n      "reps": ')
+            _write_items(f, list(map("{:x}".format, sector.reps.tolist())), "      ")
             f.write("\n    }")
         f.write("\n  ]\n}\n")
     return 0, [path]
@@ -236,7 +235,7 @@ def cmd_emit_circuit(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     # the step is built once: repeated for the circuit, verified on its own
     step = emit_trotter_step(cfg, args.dt)
     circ = step.repeated(args.steps)
-    qasm = args.emit_qasm or (args.out + ".qasm")
+    qasm = args.out + ".qasm"
     with open(qasm, "w") as f:
         f.write(circ.to_qasm())
     report = {"qubits": cfg.n_plaq, "gates": len(circ.gates), "dt": args.dt, "steps": args.steps}
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--emit-qasm", help="QASM output path")
     p.set_defaults(func=cmd_emit_circuit)
     return ap
 

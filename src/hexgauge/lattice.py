@@ -132,15 +132,20 @@ def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, ...]:
     """Site indices of the eight plaquettes around the vertical pair c,
     c+(0,1), K = 0..7, -1 outside.
 
-    Raises for closed-BC placements whose partner plaquette (i, j+1) falls
-    outside the lattice.
+    Raises where the pair has no 2-plaquette loop: a closed-BC partner
+    (i, j+1) outside the lattice, or a chain that wraps onto the pair, as on
+    every periodic lattice with ny = 2 (O_2 would not be symmetric there).
     """
     i, j = c
     if not cfg.in_range(i, j):
         raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
-    if resolve(cfg, i, j + 1) < 0:
+    partner = resolve(cfg, i, j + 1)
+    if partner < 0:
         raise ValueError(f"partner plaquette ({i},{j + 1}) outside closed lattice")
-    return tuple(resolve(cfg, i + di, j + dj) for di, dj in CHAIN8)
+    chain = tuple(resolve(cfg, i + di, j + dj) for di, dj in CHAIN8)
+    if cfg.site(i, j) in chain or partner in chain:
+        raise ValueError(f"eight-plaquette chain of the pair ({i},{j}),({i},{j + 1}) wraps onto the pair itself")
+    return chain
 
 
 def inversion(cfg: LatticeConfig) -> tuple[int, ...]:

@@ -55,10 +55,6 @@ class StateVector:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -116,13 +112,20 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
     """
     if mode == "full":
         # numpy's eigvalsh peaks near 2.4 dense copies (the matrix and
-        # LAPACK's working copy), eigh near 5.6 (eigenvectors and workspace)
-        need = op.dim**2 * op.matrix.dtype.itemsize * (6 if vectors else 3)
+        # LAPACK's working copy), eigh near 5.6 (eigenvectors and workspace).
+        # Blocks are solved one at a time as real matrices, priced by the
+        # largest; their eigenvectors are (dim, dim) in Q's dtype, and the
+        # residual check holds three more arrays of that size.
+        blocked = op.blocks is not None
+        size = max(block.shape[1] for block in op.blocks) if blocked else op.dim
+        need = size**2 * (8 if blocked else op.matrix.dtype.itemsize) * (6 if vectors else 3)
+        if blocked and vectors:
+            need += 4 * op.dim**2 * op.blocks[0].dtype.itemsize
         if need > DENSE_MAX_BYTES:
-            raise ValueError(f"full diagonalization of dimension {op.dim} needs about {need} bytes "
-                             f"({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense budget; "
-                             "use mode='lowest'")
-        if op.blocks is not None:
+            raise ValueError(f"full diagonalization of {'a block of ' * blocked}dimension {size} needs about "
+                             f"{need} bytes ({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense "
+                             "budget; use mode='lowest'")
+        if blocked:
             vals, vecs = _solve_blocks(op, vectors)
         elif vectors:
             vals, vecs = np.linalg.eigh(op.to_dense())
@@ -167,8 +170,9 @@ def _solve_blocks(op: SparseOperator, vectors: bool):
     if leak > 1e-12 * np.abs(m.data).max(initial=0.0):
         raise RuntimeError(f"operator blocks are not invariant and real: an entry of {leak:.3e} leaks")
     m, edges = m.tocsr().real, np.cumsum([0, *sizes])
-    parts = [m[lo:hi, lo:hi].toarray() for lo, hi in zip(edges[:-1], edges[1:])]
-    solved = [np.linalg.eigh(part) if vectors else (np.linalg.eigvalsh(part), None) for part in parts]
+    # each block is densified only for its own solve
+    solve = np.linalg.eigh if vectors else lambda part: (np.linalg.eigvalsh(part), None)
+    solved = [solve(m[lo:hi, lo:hi].toarray()) for lo, hi in zip(edges[:-1], edges[1:])]
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")
     if not vectors:

@@ -94,7 +94,7 @@ class OrbitTable:
 
 def build_orbit_table(cfg: LatticeConfig) -> OrbitTable:
     if not cfg.periodic:
-        raise ValueError("orbits are only defined for periodic BC")
+        raise ValueError("momentum sectors require periodic BC")
     states = state_array(cfg, quotient=True)
     rep = states.copy()
     shift = np.zeros_like(states)
@@ -159,15 +159,6 @@ class MomentumSector:
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    def to_dict(self) -> dict:
-        return {
-            "nx_q": self.nx_q,
-            "ny_q": self.ny_q,
-            "dim": self.dim,
-            "reps": list(map("{:x}".format, self.reps.tolist())),
-            "norms": self.norms.tolist(),
-        }
 
 
 def build_sector(

@@ -176,18 +176,19 @@ def test_criterion_6_sector_completeness():
 
 def test_criterion_7_wilson_cross_check():
     worst = 0.0
-    for nx, ny in [(2, 2), (3, 3)]:
+    for nx, ny in [(2, 2), (2, 3), (3, 3)]:
         cfg = LatticeConfig(nx, ny, P, 1.0)
-        o1 = wilson1_operator(cfg, (0, 0)).toarray()
-        o2 = wilson2_operator(cfg, (0, 0)).toarray()
+        loops = [(wilson1_operator(cfg, (0, 0)).toarray(), wilson1_block)]
+        # on periodic ny = 2 the O2 chain wraps onto the pair, and lattice refuses it
+        if ny > 2:
+            loops.append((wilson2_operator(cfg, (0, 0)).toarray(), wilson2_block))
         sectors = all_sectors(cfg)
         transforms = [momentum_transform(s) for s in sectors]
         for a, sa in enumerate(sectors):
             for b, sb in enumerate(sectors):
-                ref1 = transforms[b].conj().T @ o1 @ transforms[a]
-                ref2 = transforms[b].conj().T @ o2 @ transforms[a]
-                worst = max(worst, float(np.max(np.abs(wilson1_block(sa, sb).toarray() - ref1))))
-                worst = max(worst, float(np.max(np.abs(wilson2_block(sa, sb).toarray() - ref2))))
+                for op, block in loops:
+                    ref = transforms[b].conj().T @ op @ transforms[a]
+                    worst = max(worst, float(np.max(np.abs(block(sa, sb).toarray() - ref))))
     _report(7, worst < 1e-10, f"O1/O2 momentum blocks vs conjugated real-space, max dev {worst:.2e} < 1e-10")
 
 

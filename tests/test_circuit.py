@@ -18,6 +18,7 @@ from hexgauge.circuit import (
     emit_trotter_step,
     pauli_expand,
     verify_circuit,
+    VERIFY_MAX_QUBITS,
 )
 from hexgauge.hamiltonian import h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
@@ -355,3 +356,16 @@ def test_emitters_refuse_degenerate_periodic(nx, ny):
         emit_trotter_circuit(cfg, 0.1, 2)
     # the same sizes stay allowed under closed BC
     assert emit_trotter_step(LatticeConfig(nx, ny, C, 1.0), 0.1).gates
+
+
+def test_verify_refuses_over_cap_before_building_h(monkeypatch):
+    # the qubit cap is checked before the 2^N Hamiltonian is assembled
+    def refuse(cfg):
+        raise AssertionError("Hamiltonian built above the verification cap")
+
+    monkeypatch.setattr(hexgauge.circuit, "build_closed", refuse)
+    monkeypatch.setattr(hexgauge.circuit, "build_periodic_full", refuse)
+    n = VERIFY_MAX_QUBITS + 1
+    for cfg in (LatticeConfig(1, n, C, 1.0), LatticeConfig(n, 1, P, 1.0)):
+        with pytest.raises(ValueError, match=f"capped at {VERIFY_MAX_QUBITS} qubits"):
+            verify_circuit(Circuit(n), cfg, 0.1)

@@ -63,11 +63,12 @@ def test_outputs_byte_stable(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["spectrum", "--config", cfg, "--out", out1, "--export-mtx"])
     main(["spectrum", "--config", cfg, "--out", out2, "--export-mtx"])
-    main(["spectrum", "--config", cfg, "--out", out1 + "s", "--sectors"])
+    main(["spectrum", "--config", cfg, "--out", out1 + "s", "--sectors", "--export-mtx"])
     main(["spectrum", "--config", cfg, "--out", out2 + "s", "--sectors"])
     assert (tmp_path / "a.spectrum.csv").read_bytes() == (tmp_path / "b.spectrum.csv").read_bytes()
     assert (tmp_path / "as.sectors.csv").read_bytes() == (tmp_path / "bs.sectors.csv").read_bytes()
-    assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
+    # --export-mtx writes the real-space H whichever route gave the spectrum
+    assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes() == (tmp_path / "as.mtx").read_bytes()
     m1 = json.loads((tmp_path / "a.manifest.json").read_text())
     m2 = json.loads((tmp_path / "b.manifest.json").read_text())
     assert m1["outputs"]["a.spectrum.csv"] == m2["outputs"]["b.spectrum.csv"]
@@ -238,7 +239,12 @@ def test_sectors_bytes_match_json_dump(tmp_path, monkeypatch, nx, ny, chunk):
             "sectors": [{"nx_q": s.nx_q, "ny_q": s.ny_q, "dim": s.dim, "norms": s.norms.tolist(),
                          "reps": [format(r, "x") for r in s.reps.tolist()]}
                         for s in spinbasis.all_sectors(cfg)]}
-    assert (tmp_path / "s.sectors.json").read_bytes() == (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode()
+    written = (tmp_path / "s.sectors.json").read_bytes()
+    assert written == (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode()
+    # every sector lists dim hex-word reps and dim norms
+    for s in json.loads(written)["sectors"]:
+        assert s["dim"] == len(s["reps"]) == len(s["norms"])
+        assert all(isinstance(r, str) and int(r, 16) >= 0 for r in s["reps"])
 
 
 def test_flag_overrides(tmp_path):
@@ -312,13 +318,15 @@ def test_manifest_records_given_argv(tmp_path):
 
 
 def test_manifest_covers_outputs(tmp_path):
-    # every command's manifest lists exactly the files it wrote, each digest
-    # matches its file, and every CSV float cell is its shortest repr
+    # every command writes its outputs beside its manifest, which lists
+    # exactly those files by name with their digests; nothing is written
+    # elsewhere, and every CSV float cell is its shortest repr
     small = ["--nx", "2", "--ny", "3"]
     closed = ["--nx", "2", "--ny", "3", "--bc", "closed"]
     runs = [
         ["spectrum", *small, "--export-mtx"],
         ["spectrum", *small, "--sectors"],
+        ["spectrum", *small, "--sectors", "--export-mtx"],
         ["spectrum", *closed, "--export-mtx"],
         ["basis", *small],
         ["sectors", *small],
@@ -326,24 +334,24 @@ def test_manifest_covers_outputs(tmp_path):
         ["wilson", *small, "--blocks", "--sector", "1", "0", "--sector-prime", "1", "1"],
         ["wilson", *closed],
         ["evolve", *closed, "--state", "2a", "--t", "1", "--steps", "5"],
-        ["emit-circuit", *closed, "--dt", "0.1", "--emit-qasm", str(tmp_path / "elsewhere.qasm")],
+        ["emit-circuit", *closed, "--dt", "0.1"],
     ]
     for n, argv in enumerate(runs):
         folder = tmp_path / f"run{n}"
         folder.mkdir()
-        before = set(tmp_path.rglob("*"))
         assert main([*argv, "--out", str(folder / "r")]) == 0
-        written = {p for p in set(tmp_path.rglob("*")) - before if p.name != "r.manifest.json"}
         manifest = json.loads((folder / "r.manifest.json").read_text())
-        assert set(manifest["outputs"]) == {p.name for p in written}, argv
-        for p in written:
-            assert manifest["outputs"][p.name] == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert set(manifest["outputs"]) == {p.name for p in folder.iterdir()} - {"r.manifest.json"}, argv
+        for name, digest in manifest["outputs"].items():
+            p = folder / name
+            assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
             if p.suffix != ".csv":
                 continue
             for line in p.read_text().splitlines()[1:]:
                 for cell in line.split(","):
                     if not cell.lstrip("-").isdigit() and _is_float(cell):
                         assert repr(float(cell)) == cell, (p.name, cell)
+    assert {p.name for p in tmp_path.iterdir()} == {f"run{n}" for n in range(len(runs))}
 
 
 def _is_float(cell: str) -> bool:
@@ -373,6 +381,25 @@ def test_basis_refuses_degenerate_periodic(tmp_path, capsys, nx, ny):
     assert "periodic lattices need nx >= 2 and ny >= 2" in err and "Traceback" not in err
     assert err.count("\n") == 1
     assert list(tmp_path.glob("b*")) == []
+
+
+@pytest.mark.parametrize("argv", [["sectors"], ["spectrum", "--sectors"], ["spectrum", "--sectors", "--export-mtx"]])
+def test_sectors_refuse_closed_before_writing(tmp_path, capsys, argv):
+    # spinbasis refuses closed BC while the sectors are built, before any file opens
+    assert main([*argv, "--bc", "closed", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "momentum sectors require periodic BC" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_circuit_writes_qasm_beside_its_manifest(tmp_path, capsys):
+    # the QASM goes to <out>.qasm like every output; there is no path option
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-circuit", "--dt", "0.1", "--emit-qasm", str(tmp_path / "q.qasm"),
+              "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit-qasm" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_has_no_fault_flag(tmp_path, capsys):

@@ -126,16 +126,20 @@ def test_momentum_hamiltonian_vs_conjugation():
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 3)])
 def test_wilson_blocks_vs_conjugation(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
-    o1 = wilson1_operator(cfg, (0, 0)).toarray()
-    o2 = wilson2_operator(cfg, (0, 0)).toarray()
+    loops = [(wilson1_operator(cfg, (0, 0)).toarray(), wilson1_block)]
+    if ny > 2:
+        loops.append((wilson2_operator(cfg, (0, 0)).toarray(), wilson2_block))
     sectors = all_sectors(cfg)
     transforms = [momentum_transform(s) for s in sectors]
     for a, sa in enumerate(sectors):
         for b, sb in enumerate(sectors):
-            ref1 = transforms[b].conj().T @ o1 @ transforms[a]
-            ref2 = transforms[b].conj().T @ o2 @ transforms[a]
-            assert np.max(np.abs(wilson1_block(sa, sb).toarray() - ref1)) < 1e-10
-            assert np.max(np.abs(wilson2_block(sa, sb).toarray() - ref2)) < 1e-10
+            for op, block in loops:
+                ref = transforms[b].conj().T @ op @ transforms[a]
+                assert np.max(np.abs(block(sa, sb).toarray() - ref)) < 1e-10
+            if ny == 2:
+                # the O2 chain wraps onto the pair: refused, as in real space
+                with pytest.raises(ValueError, match="wraps onto the pair"):
+                    wilson2_block(sa, sb)
 
 
 def test_wilson1_vacuum_elements():
@@ -162,23 +166,42 @@ def test_wilson2_prefactor_values():
     assert (1 + 3 * 1 * -1) / 4 == -0.5
 
 
+def _lattices_with_o2():
+    """Every lattice up to 16 plaquettes whose origin pair has an O2: periodic
+    with nx >= 2 and ny >= 3, closed with ny >= 2."""
+    for nx in range(1, 9):
+        for ny in range(2, 17):
+            if nx * ny <= 16:
+                if nx >= 2 and ny >= 3:
+                    yield LatticeConfig(nx, ny, P, 1.0)
+                yield LatticeConfig(nx, ny, BoundaryCondition.CLOSED, 1.0)
+
+
 def test_wilson2_hermitian_pairing():
-    # needs ny >= 3 so the 8-chain stays off the loop's own two sites
-    for nx, ny in [(2, 3), (3, 3)]:
-        cfg = LatticeConfig(nx, ny, P, 1.0)
-        for sector in all_sectors(cfg):
-            w = wilson2_block(sector, sector).toarray()
-            assert np.max(np.abs(w - w.conj().T)) < 1e-12
+    # wherever lattice accepts the pair (ny >= 3 keeps a periodic 8-chain off
+    # the loop's own two sites), O2 is real symmetric in real space and every
+    # diagonal momentum block of it Hermitian
+    for cfg in _lattices_with_o2():
+        pairs = [(0, 0)] if cfg.periodic else [(0, 0), (cfg.nx - 1, cfg.ny - 2)]
+        for c in pairs:
+            o2 = wilson2_operator(cfg, c)
+            assert abs(o2 - o2.T).max() < 1e-14, (cfg, c)
+        if cfg.periodic:
+            for sector in all_sectors(cfg):
+                w = wilson2_block(sector, sector)
+                assert abs(w - w.conj().T).max() < 1e-14, (cfg, sector.nx_q, sector.ny_q)
 
 
-def test_wilson2_not_hermitian_on_2x2():
-    # with ny = 2 the chain position (i, j+2) wraps onto the loop itself,
-    # so the printed O_2 form stops being symmetric; the conjugation
-    # cross-check above still holds, which pins the convention
-    cfg = LatticeConfig(2, 2, P, 1.0)
+@pytest.mark.parametrize("nx", range(2, 9))
+def test_wilson2_refused_on_periodic_ny2(nx):
+    # with ny = 2 the chain position (i, j+2) wraps onto the loop itself, so
+    # the printed O_2 form would not be symmetric (|O2 - O2^T| = 0.75):
+    # lattice.neighbor_chain8 refuses the pair, in real space and in the blocks
+    cfg = LatticeConfig(nx, 2, P, 1.0)
     sector = build_sector(cfg, 0, 0)
-    w = wilson2_block(sector, sector).toarray()
-    assert np.max(np.abs(w - w.conj().T)) > 0.1
+    for make, args in ((wilson2_operator, (cfg, (0, 0))), (wilson2_block, (sector, sector))):
+        with pytest.raises(ValueError, match="wraps onto the pair"):
+            make(*args)
 
 
 def test_bracket_equals_counted_form():
@@ -227,6 +250,11 @@ def test_blocks_match_scalar_loops(nx, ny):
         assert np.max(np.abs(hx_block(sa).to_dense() - ref_hx_block(sa, to_rep))) < 1e-13
         for sb in sectors:
             for eight, block in ((False, wilson1_block), (True, wilson2_block)):
+                if eight and ny == 2:
+                    # the O2 chain wraps onto the pair, which lattice refuses
+                    with pytest.raises(ValueError, match="wraps onto the pair"):
+                        block(sa, sb)
+                    continue
                 ref = ref_wilson_block(sa, sb, to_rep, eight)
                 assert np.max(np.abs(block(sa, sb).toarray() - ref)) < 1e-13
 
@@ -372,3 +400,10 @@ def test_inversion_blocks_refuse_a_broken_image(monkeypatch):
     monkeypatch.setattr(momentum, "inversion", lambda c: cycle)
     with pytest.raises(RuntimeError, match="onto itself"):
         inversion_blocks(sector)
+
+
+def test_blocks_refuse_sectors_of_two_lattices():
+    sa = build_sector(LatticeConfig(2, 3, P, 1.0), 0, 0)
+    sb = build_sector(LatticeConfig(3, 2, P, 1.0), 0, 0)
+    with pytest.raises(ValueError, match="sectors belong to different lattices"):
+        wilson1_block(sa, sb)

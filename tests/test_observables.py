@@ -1,6 +1,10 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +128,7 @@ def test_wilson_operators_reject_outside_plaquette(c):
 
 
 def test_wilson2_apply_vacuum():
-    cfg = LatticeConfig(2, 2, P, 1.0)
+    cfg = LatticeConfig(2, 3, P, 1.0)
     out = wilson2_operator(cfg, (0, 0)) @ basis_state(cfg, 0).amplitudes
     target = (1 << cfg.site(0, 0)) | (1 << cfg.site(0, 1))
     assert out[target] == -1.0
@@ -500,7 +504,79 @@ def _scalar_wilson(cfg: LatticeConfig, c, eight: bool) -> scipy.sparse.csr_matri
 def test_wilson_operators_match_scalar_loop(nx, ny, bc, c):
     cfg = LatticeConfig(nx, ny, bc, 1.0)
     for op, eight in ((wilson1_operator, False), (wilson2_operator, True)):
+        if eight and cfg.periodic and ny == 2:
+            # the O2 chain wraps onto the pair, which lattice refuses
+            with pytest.raises(ValueError, match="wraps onto the pair"):
+                op(cfg, c)
+            continue
         got, ref = op(cfg, c), _scalar_wilson(cfg, c, eight)
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
+
+
+def test_diagonalize_refuses_unknown_mode():
+    op = build_closed(LatticeConfig(1, 2, C, 1.0))
+    with pytest.raises(ValueError, match="unknown mode 'dense'"):
+        diagonalize(op, mode="dense")
+
+
+@pytest.mark.parametrize("k", [(0, 0), (1, 0)])
+def test_blocked_solve_priced_by_its_largest_block(monkeypatch, k):
+    # the blocks are solved one at a time as real matrices, so a budget
+    # between the price of the largest real block and that of the whole
+    # matrix in H's dtype (the old price, which refused it) solves the sector
+    op = hamiltonian_block(build_sector(LatticeConfig(3, 4, P, 1.0), *k))
+    largest = max(block.shape[1] for block in op.blocks) ** 2 * 8 * 3
+    whole = op.dim**2 * op.matrix.dtype.itemsize * 3
+    assert largest < whole
+    monkeypatch.setattr(observables, "DENSE_MAX_BYTES", (largest + whole) // 2)
+    vals = diagonalize(op, vectors=False).eigenvalues
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(op.to_dense()))) < 1e-12
+    monkeypatch.setattr(observables, "DENSE_MAX_BYTES", largest - 1)
+    with pytest.raises(ValueError, match="a block of dimension .* dense budget"):
+        diagonalize(op, vectors=False)
+
+
+# Prints the RSS growth of one blocked dense solve in a fresh interpreter,
+# then whether a budget of exactly that growth refuses the same solve.  The
+# peak is the process's VmHWM: ru_maxrss may keep the parent's RSS at spawn.
+_PEAK_SCRIPT = """
+import ctypes, sys
+from hexgauge import observables
+from hexgauge.lattice import BoundaryCondition, LatticeConfig
+from hexgauge.momentum import hamiltonian_block
+from hexgauge.spinbasis import build_sector
+nx, ny, qx, qy, vectors = map(int, sys.argv[1:])
+cfg = LatticeConfig(nx, ny, BoundaryCondition.PERIODIC, 1.0)
+op = hamiltonian_block(build_sector(cfg, qx, qy))
+small = hamiltonian_block(build_sector(LatticeConfig(2, 2, cfg.bc, 1.0), 0, 0))
+observables.diagonalize(small, vectors=bool(vectors))  # first-call allocations
+getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)  # freed heap leaves the baseline
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+before = status("VmRSS")
+observables.diagonalize(op, vectors=bool(vectors))
+growth = status("VmHWM") - before
+observables.DENSE_MAX_BYTES = growth
+try:
+    observables.diagonalize(op, vectors=bool(vectors))
+except ValueError:
+    print(growth, "refused")
+else:
+    print(growth, "solved")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("nx, ny, k, vectors", [(3, 5, (1, 0), False), (3, 5, (0, 0), True)],
+                         ids=["one-block-values", "two-blocks-vectors"])
+def test_blocked_solve_peak_under_its_price(nx, ny, k, vectors):
+    # a budget of the measured RSS growth is below the price, so it refuses
+    src = str(Path(observables.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(nx), str(ny), *map(str, k), str(int(vectors))],
+                         env=env, capture_output=True, text=True, check=True).stdout.split()
+    growth, verdict = int(out[0]), out[1]
+    assert growth > 1 << 20 and verdict == "refused", (growth, verdict)

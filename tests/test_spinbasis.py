@@ -157,13 +157,6 @@ def test_momentum_phase_table():
     assert root_table(8) is root_table(8) and not root_table(8).flags.writeable
 
 
-def test_sector_dump_shape():
-    cfg = LatticeConfig(2, 2, P, 1.0)
-    d = build_sector(cfg, 0, 0).to_dict()
-    assert d["dim"] == len(d["reps"]) == len(d["norms"])
-    assert all(isinstance(r, str) for r in d["reps"])
-
-
 def test_capacity_guard():
     with pytest.raises(ValueError):
         state_array(LatticeConfig(5, 5, C, 1.0), False)
