@@ -10,6 +10,7 @@ re-running with the same config reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -81,15 +82,6 @@ def _load_config(args) -> LatticeConfig:
         if value is not None:
             d[key] = value
     return LatticeConfig.from_dict(d)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON lattice config")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--bc", choices=["closed", "periodic"])
-    p.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p.add_argument("--out", default="hexgauge_out", help="output file prefix")
 
 
 def _wilson_operators(cfg: LatticeConfig):
@@ -244,48 +236,43 @@ def cmd_emit_circuit(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     return 0, [qasm, _write_json(args.out + ".circuit.json", report)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    every default is immutable, so no call sees another's values."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON lattice config")
+    common.add_argument("--nx", type=int)
+    common.add_argument("--ny", type=int)
+    common.add_argument("--bc", choices=["closed", "periodic"])
+    common.add_argument("--lam", "--lambda", dest="lam", type=float)
+    common.add_argument("--out", default="hexgauge_out", help="output file prefix")
     ap = argparse.ArgumentParser(prog="hexgauge", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="diagonalize and export eigenvalues")
-    _add_common(p)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("spectrum", cmd_spectrum, "diagonalize and export eigenvalues")
     p.add_argument("--sectors", action="store_true", help="momentum-resolved spectra")
     p.add_argument("--export-mtx", action="store_true", help="export MatrixMarket matrix")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("basis", help="enumerate basis states")
-    _add_common(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("sectors", help="dump momentum sectors")
-    _add_common(p)
-    p.set_defaults(func=cmd_sectors)
-
-    p = sub.add_parser("verify", help="certify the spin model against the gauge oracle")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("wilson", help="Wilson loop expectations and momentum blocks")
-    _add_common(p)
+    command("basis", cmd_basis, "enumerate basis states")
+    command("sectors", cmd_sectors, "dump momentum sectors")
+    command("verify", cmd_verify, "certify the spin model against the gauge oracle")
+    p = command("wilson", cmd_wilson, "Wilson loop expectations and momentum blocks")
     p.add_argument("--blocks", action="store_true")
-    p.add_argument("--sector", nargs=2, type=int, default=[0, 0], metavar=("NXQ", "NYQ"))
-    p.add_argument("--sector-prime", nargs=2, type=int, default=[0, 0], metavar=("NXQ", "NYQ"))
-    p.set_defaults(func=cmd_wilson)
-
-    p = sub.add_parser("evolve", help="real-time quench evolution")
-    _add_common(p)
+    p.add_argument("--sector", nargs=2, type=int, default=(0, 0), metavar=("NXQ", "NYQ"))
+    p.add_argument("--sector-prime", nargs=2, type=int, default=(0, 0), metavar=("NXQ", "NYQ"))
+    p = command("evolve", cmd_evolve, "real-time quench evolution")
     p.add_argument("--t", type=float, default=10.0, help="final time in units of a")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--state", default="0", help="initial spin word (hex), default vacuum")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("emit-circuit", help="emit a Trotter circuit as OpenQASM 2.0")
-    _add_common(p)
+    p = command("emit-circuit", cmd_emit_circuit, "emit a Trotter circuit as OpenQASM 2.0")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, default=1)
-    p.set_defaults(func=cmd_emit_circuit)
     return ap
 
 

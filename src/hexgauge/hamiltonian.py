@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.io
@@ -106,12 +105,6 @@ class SparseOperator:
         return mat
 
 
-@lru_cache(maxsize=None)
-def chain_table(cfg: LatticeConfig) -> tuple[tuple[int, ...], ...]:
-    """neighbor_chain6 of every plaquette, by site, built once per config."""
-    return tuple(neighbor_chain6(cfg.coord(p), cfg) for p in range(cfg.n_plaq))
-
-
 def flip_exponent(states: np.ndarray, chain) -> np.ndarray:
     """c for every state of an int64 array: the number of cyclic chain
     positions K whose site is up while the site at K+1 is down.
@@ -148,11 +141,10 @@ def flip_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eigh
         raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
     here = cfg.site(i, j)
     if not eight:
-        return 1 << here, _O1_COEFF[flip_exponent(states, chain_table(cfg)[here])]
-    chain = neighbor_chain8(c, cfg)
+        return 1 << here, _O1_COEFF[flip_exponent(states, neighbor_chain6(c, cfg))]
     above = cfg.site(i, (j + 1) % cfg.ny)
     z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
-    amp = _O1_COEFF[flip_exponent(states, chain)] * (1.0 + 3.0 * z0z1) / 4.0
+    amp = _O1_COEFF[flip_exponent(states, neighbor_chain8(c, cfg))] * (1.0 + 3.0 * z0z1) / 4.0
     return (1 << here) ^ (1 << above), amp
 
 

@@ -93,44 +93,38 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
     def check_residuals(self, op: SparseOperator) -> float:
-        """max ||H v - E v|| over retained unit eigenvectors."""
-        if self.eigenvectors is None:
+        """max ||H v - E v|| over retained unit eigenvectors, taken 128 at a
+        time so that no temporary is (dim, dim)."""
+        v, e = self.eigenvectors, self.eigenvalues
+        if v is None:
             raise ValueError("no eigenvectors retained")
-        r = op.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.linalg.norm(r, axis=0)))
+        return max(float(np.max(np.linalg.norm(op.matrix @ v[:, i:i + 128] - v[:, i:i + 128] * e[i:i + 128], axis=0)))
+                   for i in range(0, v.shape[1], 128))
 
 
 def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) -> Spectrum:
     """Eigenvalues (ascending) of a Hermitian operator.
 
     mode "full": dense diagonalization, allowed while its estimated peak
-    memory stays within DENSE_MAX_BYTES.  An operator with blocks Q_i is
-    solved block by block as the real matrices Q_i^H H Q_i, the eigenvalues
-    merged in a stable order and the eigenvectors mapped back as Q_i W_i.
+    memory stays within DENSE_MAX_BYTES, one block at a time: the real
+    matrices Q_i^H H Q_i of an operator with blocks Q_i, else H itself.
     mode "lowest": the lowest eigenpair, iterative, with a fixed
     pseudo-random start vector, so repeated solves return the same one.
     """
     if mode == "full":
-        # numpy's eigvalsh peaks near 2.4 dense copies (the matrix and
-        # LAPACK's working copy), eigh near 5.6 (eigenvectors and workspace).
-        # Blocks are solved one at a time as real matrices, priced by the
-        # largest; their eigenvectors are (dim, dim) in Q's dtype, and the
-        # residual check holds three more arrays of that size.
-        blocked = op.blocks is not None
-        size = max(block.shape[1] for block in op.blocks) if blocked else op.dim
-        need = size**2 * (8 if blocked else op.matrix.dtype.itemsize) * (6 if vectors else 3)
-        if blocked and vectors:
-            need += 4 * op.dim**2 * op.blocks[0].dtype.itemsize
+        # numpy's eigvalsh peaks near 2.4 dense copies of a block (the matrix
+        # and LAPACK's working copy), eigh near 5.6 (eigenvectors and
+        # workspace); the largest block sets the price, and with vectors the
+        # (dim, dim) eigenvectors in Q's dtype (H's without blocks) are kept.
+        blocks = op.blocks or [op.matrix]
+        size = max(block.shape[1] for block in blocks)
+        need = (size**2 * (8 if op.blocks else op.matrix.dtype.itemsize) * (6 if vectors else 3)
+                + vectors * op.dim**2 * blocks[0].dtype.itemsize)
         if need > DENSE_MAX_BYTES:
-            raise ValueError(f"full diagonalization of {'a block of ' * blocked}dimension {size} needs about "
+            raise ValueError(f"full diagonalization of {'a block of ' * bool(op.blocks)}dimension {size} needs about "
                              f"{need} bytes ({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense "
                              "budget; use mode='lowest'")
-        if blocked:
-            vals, vecs = _solve_blocks(op, vectors)
-        elif vectors:
-            vals, vecs = np.linalg.eigh(op.to_dense())
-        else:
-            vals, vecs = np.linalg.eigvalsh(op.to_dense()), None
+        vals, vecs = _solve_blocks(op, vectors)
     elif mode == "lowest":
         # ARPACK takes k < dim eigenpairs of a real operator, k < dim - 1 of a complex one
         kind, least = ("complex", 3) if np.iscomplexobj(op.matrix) else ("real", 2)
@@ -158,25 +152,28 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
 
 
 def _solve_blocks(op: SparseOperator, vectors: bool):
-    """Ascending eigenvalues of op from the real dense blocks Q_i^H H Q_i,
+    """Ascending eigenvalues of op, each block densified only for its own
+    solve, and with vectors the eigenvectors in the merged order.  Without
+    blocks op is one block of itself; blocks Q_i give the real Q_i^H H Q_i,
     after checking that no entry of Q^H H Q couples two blocks and none has
-    an imaginary part over 1e-12 of its largest entry; with vectors, Q_i W_i
-    in the merged order."""
-    sizes = [block.shape[1] for block in op.blocks]
-    q = scipy.sparse.hstack(op.blocks, format="csc")
-    m = (q.conj().T @ op.matrix @ q).tocoo()
-    which = np.repeat(np.arange(len(sizes)), sizes)
-    leak = np.abs(np.where(which[m.row] != which[m.col], m.data, m.data.imag)).max(initial=0.0)
-    if leak > 1e-12 * np.abs(m.data).max(initial=0.0):
-        raise RuntimeError(f"operator blocks are not invariant and real: an entry of {leak:.3e} leaks")
-    m, edges = m.tocsr().real, np.cumsum([0, *sizes])
-    # each block is densified only for its own solve
+    an imaginary part over 1e-12 of its largest entry, and vectors Q_i W_i."""
+    m, sizes = op.matrix, [block.shape[1] for block in op.blocks or [op.matrix]]
+    if op.blocks is not None:
+        q = scipy.sparse.hstack(op.blocks, format="csc")
+        m = (q.conj().T @ m @ q).tocoo()
+        which = np.repeat(np.arange(len(sizes)), sizes)
+        leak = np.abs(np.where(which[m.row] != which[m.col], m.data, m.data.imag)).max(initial=0.0)
+        if leak > 1e-12 * np.abs(m.data).max(initial=0.0):
+            raise RuntimeError(f"operator blocks are not invariant and real: an entry of {leak:.3e} leaks")
+        m = m.tocsr().real
+    edges = np.cumsum([0, *sizes])
     solve = np.linalg.eigh if vectors else lambda part: (np.linalg.eigvalsh(part), None)
     solved = [solve(m[lo:hi, lo:hi].toarray()) for lo, hi in zip(edges[:-1], edges[1:])]
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")
-    if not vectors:
-        return vals[order], None
+    if not vectors or op.blocks is None:
+        # one block's eigenvectors are already in order
+        return vals[order], solved[0][1]
     vecs = np.empty((op.dim, len(vals)), dtype=q.dtype, order="F")
     # block i's eigenvectors go to the merged positions of its eigenvalues
     for block, (_, w), cols in zip(op.blocks, solved, np.split(np.argsort(order), edges[1:-1])):
@@ -235,8 +232,11 @@ def trajectory(op: SparseOperator, psi0: StateVector, times):
     per window of consecutive times (psi0 at t = 0); times may repeat or run
     backward.  psi0 may be a (dim, n) block with one state per column; the
     states of a window are columns of one array.  H's spectrum is bounded
-    once, by its Gershgorin interval [mid - half, mid + half]; a step with
-    half * |dt| over MAX_STEP_NORM is refused before the first one runs."""
+    once, by its Gershgorin interval [mid - half, mid + half].  A psi0 over
+    another basis than op's, or a step with half * |dt| over MAX_STEP_NORM,
+    is refused before the first step runs."""
+    if psi0.label != op.label:
+        raise ValueError(f"state over {psi0.label} given to an operator over {op.label}")
     times = np.asarray(times, dtype=float)
     step = float(np.abs(np.diff(times, prepend=0.0)).max(initial=0.0))
     h = op.matrix

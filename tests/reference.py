@@ -8,8 +8,8 @@ expansion.  Tests compare the library against them.
 
 import math
 
-from hexgauge.hamiltonian import chain_table, h_plus, h_plusplus
-from hexgauge.lattice import bonds
+from hexgauge.hamiltonian import h_plus, h_plusplus
+from hexgauge.lattice import bonds, neighbor_chain6
 
 # Bracket factor constants of the Pauli-product magnetic form.
 ALPHA = 0.5 - 0.5j / math.sqrt(2.0)
@@ -18,7 +18,7 @@ BETA = 0.5 + 0.5j / math.sqrt(2.0)
 
 def c_value(s: int, c: tuple[int, int], cfg) -> int:
     """Count of chain positions K with neighbor K up and K+1 (mod 6) down."""
-    b = [0 if q < 0 else (s >> q) & 1 for q in chain_table(cfg)[cfg.site(*c)]]
+    b = [0 if q < 0 else (s >> q) & 1 for q in neighbor_chain6(c, cfg)]
     return sum(b[k] & (1 - b[(k + 1) % 6]) for k in range(6))
 
 

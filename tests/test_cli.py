@@ -173,6 +173,25 @@ def test_wilson_blocks(tmp_path, monkeypatch):
     assert len(tables) == 1
 
 
+def test_one_parser_per_process_keeps_calls_apart(tmp_path, monkeypatch):
+    # main reuses one parser; a call with --sector and one without each see
+    # their own sectors, the default being an immutable (0, 0)
+    seen, build = [], spinbasis.build_sector
+
+    def recorded(cfg, nx_q, ny_q, orbits=None):
+        seen.append((nx_q, ny_q))
+        return build(cfg, nx_q, ny_q, orbits)
+
+    monkeypatch.setattr(cli, "build_sector", recorded)
+    argv = ["wilson", "--nx", "3", "--ny", "3", "--blocks"]
+    assert main([*argv, "--sector", "1", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--sector-prime", "2", "0", "--out", str(tmp_path / "b")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+    assert seen == [(1, 2), (0, 0), (0, 0), (2, 0), (0, 0), (0, 0)]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["wilson"]).sector == (0, 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["--nx", "2", "--ny", "2", "--bc", "closed"],
     ["--nx", "3", "--ny", "4", "--sector", "9", "9"],

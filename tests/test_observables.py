@@ -175,6 +175,22 @@ def test_basis_mismatch_guard():
         a.overlap(b)
 
 
+def test_trajectory_refuses_a_state_of_another_basis(monkeypatch):
+    # periodic 2x2 and closed 1x3 both have dimension 8, so only the labels tell them apart
+    op = build_periodic(LatticeConfig(2, 2, P, 1.0))
+    psi0 = basis_state(LatticeConfig(1, 3, C, 1.0), 5)
+    assert psi0.amplitudes.shape == (op.dim,)
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(observables, "_steps", no_step)
+    for run in (lambda: evolve(op, psi0, 1.0), lambda: trajectory(op, psi0, [0.5, 1.0])):
+        with pytest.raises(ValueError, match=r"state over closed-full:1x3 given to an operator over "
+                                             r"periodic-quotient:2x2"):
+            run()
+
+
 @pytest.mark.parametrize("s", [-1, 0x1FF, 1 << 4])
 def test_basis_state_rejects_out_of_range_word(s):
     cfg = LatticeConfig(2, 2, P, 1.0)
@@ -458,10 +474,10 @@ def test_full_mode_checks_byte_budget(monkeypatch):
     # periodic 4x4 (dim 32768): the dense matrix alone would be 8.6 GB
     op = build_periodic(LatticeConfig(4, 4, P, 1.0))
 
-    def no_dense(self):
+    def no_dense(*args):
         raise AssertionError("dense matrix allocated")
 
-    monkeypatch.setattr(SparseOperator, "to_dense", no_dense)
+    monkeypatch.setattr(observables, "_solve_blocks", no_dense)
     for vectors in (False, True):
         with pytest.raises(ValueError, match=r"dimension 32768 needs about \d+ bytes"):
             diagonalize(op, vectors=vectors)
@@ -536,6 +552,24 @@ def test_blocked_solve_priced_by_its_largest_block(monkeypatch, k):
     monkeypatch.setattr(observables, "DENSE_MAX_BYTES", largest - 1)
     with pytest.raises(ValueError, match="a block of dimension .* dense budget"):
         diagonalize(op, vectors=False)
+
+
+def test_residual_check_holds_no_dim_by_dim_temporary():
+    # the check goes over column blocks of V; it returns the whole-matrix
+    # formula's float, and its temporaries stay well under one V
+    op = hamiltonian_block(build_sector(LatticeConfig(3, 5, P, 1.0), 0, 0))
+    spec = diagonalize(op)
+    vecs, vals = spec.eigenvectors, spec.eigenvalues
+    assert vecs.shape == (1096, 1096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        residual = spec.check_residuals(op)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * vecs.nbytes, (peak, vecs.nbytes)
+    assert residual == spec.residual == float(np.max(np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)))
 
 
 # Prints the RSS growth of one blocked dense solve in a fresh interpreter,

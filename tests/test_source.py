@@ -28,6 +28,20 @@ def test_solvers_only_in_observables():
     assert not found, f"solver calls outside observables.py: {found}"
 
 
+def test_dense_solves_only_in_solve_blocks():
+    # one dense-solve path: every eigh and eigvalsh is taken block by block
+    # in observables._solve_blocks, blocked operator or not
+    solvers, found, inside = {"eigh", "eigvalsh"}, [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and path.name == "observables.py" and node.name == "_solve_blocks":
+                inside += sum(getattr(n, "attr", None) in solvers for n in ast.walk(node))
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in solvers:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert inside == 2 and len(found) == inside, f"dense solves outside observables._solve_blocks: {found}"
+
+
 def test_one_flip_kernel():
     # every flip operator (H, the Wilson loops, the sector blocks) takes its
     # (-1/2)^c from hamiltonian.flip_action
