@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, neighbor_chain8, require_nondegenerate
@@ -92,6 +91,8 @@ class SparseOperator:
     def export_mtx(self, path: str):
         """MatrixMarket coordinate export: symmetric real, or Hermitian
         complex for a complex matrix such as a k != 0 sector block."""
+        # imported here: only this export uses it, and it adds to every import of hexgauge
+        import scipy.io
         field, symmetry = ("complex", "hermitian") if np.iscomplexobj(self.matrix) else ("real", "symmetric")
         scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field=field, symmetry=symmetry)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .hamiltonian import SparseOperator, basis_label, flip_action, flipped
 from .lattice import LatticeConfig
@@ -134,8 +133,11 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
         # ARPACK's own start distribution, seeded; a structured vector such
         # as all ones lies in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
+        # imported here: only this solve uses it, and it adds to every import of hexgauge
+        import scipy.sparse.linalg
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA", v0=v0)
+            # 8 Krylov vectors, not ARPACK's 20: reorthogonalizing against 20 costs more than the products with H
+            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA", v0=v0, ncv=min(8, op.dim))
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise RuntimeError(f"eigensolver did not converge: {err}") from err
         if not vectors:
@@ -209,10 +211,16 @@ def expectation(matrix, psi: StateVector) -> complex:
 
 
 def _product(h, x: np.ndarray) -> np.ndarray:
-    """h @ x for a C-contiguous complex x; a real h acts on x's float view,
-    so its values are never copied to complex."""
+    """h @ x for a C-contiguous complex x; a real h is never copied to
+    complex.  It acts on one state's real and imaginary parts as two 1-D
+    products, which scipy runs faster than one over the (dim, 2) float view,
+    and on a (dim, n) block's float view."""
     if np.iscomplexobj(h):
         return h @ x
+    if x.ndim == 1:
+        out = np.empty_like(x)
+        out.real, out.imag = h @ x.real, h @ x.imag
+        return out
     return (h @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
 
 

@@ -62,13 +62,32 @@ def test_diagonalize_residuals():
 
 
 def test_lowest_mode_matches_full():
-    # the one eigenpair is the bottom of the dense spectrum
-    for bc, build in ((P, build_periodic), (C, build_closed)):
-        op = build(LatticeConfig(3, 3, bc, 1.0))
-        full = diagonalize(op, vectors=False).eigenvalues
-        low = diagonalize(op, mode="lowest").eigenvalues
-        assert low.shape == (1,)
-        assert abs(low[0] - full.min()) < 1e-10
+    # the one eigenpair is the bottom of the dense spectrum, from weak to
+    # strong coupling, for real operators and a complex k != 0 block
+    for lam in (0.05, 1.0, 30.0):
+        ops = (build_periodic(LatticeConfig(3, 4, P, lam)), build_closed(LatticeConfig(2, 5, C, lam)),
+               build_closed(LatticeConfig(1, 11, C, lam)),
+               hamiltonian_block(build_sector(LatticeConfig(3, 4, P, lam), 1, 0)))
+        assert np.iscomplexobj(ops[-1].matrix)
+        for op in ops:
+            low = diagonalize(op, mode="lowest").eigenvalues
+            assert low.shape == (1,)
+            assert abs(low[0] - np.linalg.eigvalsh(op.to_dense())[0]) < 1e-10, (op.label, lam)
+
+
+def test_lowest_mode_peak_under_30_vectors():
+    # 8 Krylov vectors keep one solve's traced peak near 22 dim-length
+    # vectors; ARPACK's default 20 took it to 46
+    op = build_closed(LatticeConfig(3, 5, C, 1.0))
+    diagonalize(build_closed(LatticeConfig(2, 2, C, 1.0)), mode="lowest")  # first-call imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        diagonalize(op, mode="lowest")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * op.dim * 8, peak / (op.dim * 8)
 
 
 @pytest.mark.parametrize("bc", [P, C])
@@ -404,6 +423,16 @@ def test_trajectory_shares_one_series_per_window(monkeypatch):
     for _ in trajectory(op, basis_state(cfg, 0x2A5), np.linspace(0.0, 5.0, 201)):
         pass
     assert 0 < len(calls) <= 600
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 5), (3, 5)])
+def test_product_of_one_state_equals_its_float_view(nx, ny):
+    # one state takes two 1-D products, real part and imaginary part; a
+    # block takes one product over its float view; the sums are the same
+    h = build_closed(LatticeConfig(nx, ny, C, 1.0)).matrix
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    assert np.array_equal(observables._product(h, x), observables._product(h, x[:, None])[:, 0])
 
 
 def test_level_spacing_equal_gaps():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hexgauge"
@@ -135,3 +138,12 @@ def test_one_nondegenerate_lattice_check():
     found = [path.name for path in sorted(SRC.glob("*.py"))
              for line in path.read_text().splitlines() if "nx >= 2 and ny >= 2" in line]
     assert found == ["lattice.py"], found
+
+
+def test_import_loads_no_unused_scipy_module():
+    # eigsh, the MatrixMarket writer and jv are imported where they are used
+    code = ("import sys, hexgauge; "
+            "print(sorted({'scipy.sparse.linalg', 'scipy.io', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]", out
