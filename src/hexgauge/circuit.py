@@ -16,6 +16,7 @@ the qasm Z convention; the emitted rotation angles absorb that sign.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, require_nondegenerate
-from .observables import StateVector, evolve
+from .observables import DENSE_MAX_BYTES, StateVector, evolve
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -38,13 +39,6 @@ class PauliTerm:
     z_sites: frozenset[int]
 
 
-def _mul(c1: tuple[Fraction, Fraction], c2: tuple[Fraction, Fraction]):
-    # (a1 + b1 u)(a2 + b2 u) with u^2 = -1/2
-    a1, b1 = c1
-    a2, b2 = c2
-    return (a1 * a2 - b1 * b2 / 2, a1 * b2 + b1 * a2)
-
-
 def _expand_exact(c: tuple[int, int], cfg: LatticeConfig) -> dict[frozenset[int], Fraction]:
     """Exact expansion of the six-factor product at plaquette c.
 
@@ -55,29 +49,20 @@ def _expand_exact(c: tuple[int, int], cfg: LatticeConfig) -> dict[frozenset[int]
     poly: dict[frozenset[int], tuple[Fraction, Fraction]] = {frozenset(): (ONE, Fraction(0))}
     for k in range(6):
         q1, q2 = chain[k], chain[(k + 1) % 6]
-        # factor = alpha * z_K z_{K+1} + beta, alpha/beta = 1/2 -+ u/2
-        parts: list[tuple[frozenset[int], tuple[Fraction, Fraction]]] = []
         if q1 < 0 and q2 < 0:
-            parts.append((frozenset(), (ONE, Fraction(0))))  # z z = +1, factor = 1
-        elif q1 < 0 or q2 < 0:
-            q = max(q1, q2)  # the slot inside the lattice
-            parts.append((frozenset([q]), (-HALF, HALF)))  # -alpha z
-            parts.append((frozenset(), (HALF, HALF)))
-        else:
-            if q1 == q2:
-                raise ValueError("degenerate chain: plaquette adjacent to itself")
-            parts.append((frozenset([q1, q2]), (HALF, -HALF)))
-            parts.append((frozenset(), (HALF, HALF)))
+            continue  # z z = (-1)(-1): the factor is alpha + beta = 1
+        if q1 == q2:
+            raise ValueError("degenerate chain: plaquette adjacent to itself")
+        # factor = alpha * z_K z_{K+1} + beta, alpha/beta = 1/2 -+ u/2; an outside
+        # slot reads z = -1: alpha's term keeps the inside sites, signed (-1)^outside
+        sign = -1 if min(q1, q2) < 0 else 1
+        inside = frozenset(q for q in (q1, q2) if q >= 0)
         new: dict[frozenset[int], tuple[Fraction, Fraction]] = {}
-        for s1, c1 in poly.items():
-            for s2, c2 in parts:
-                s = s1 ^ s2
-                prod = _mul(c1, c2)
-                if s in new:
-                    old = new[s]
-                    new[s] = (old[0] + prod[0], old[1] + prod[1])
-                else:
-                    new[s] = prod
+        for s1, (a1, b1) in poly.items():
+            for s2, (a2, b2) in ((inside, (sign * HALF, -sign * HALF)), (frozenset(), (HALF, HALF))):
+                # add (a1 + b1 u)(a2 + b2 u), with u^2 = -1/2
+                a, b = new.get(s1 ^ s2, (0, 0))
+                new[s1 ^ s2] = (a + a1 * a2 - b1 * b2 / 2, b + a1 * b2 + b1 * a2)
         poly = new
     out = {}
     for sites, (a, b) in poly.items():
@@ -110,11 +95,32 @@ def pauli_expand(c: tuple[int, int], cfg: LatticeConfig) -> list[PauliTerm]:
 # Circuits
 # ---------------------------------------------------------------------------
 
+GATE_ARITY = {"h": 1, "cx": 2, "rz": 1}  # qubits each gate acts on
+# Peak bytes per gate of repeated() and then to_qasm(): the list slot, the
+# QASM line and its share of the joined text.  tracemalloc measured 98-103
+# under CPython 3.11 on closed 1x3 and 1x11 and periodic 3x4 steps, x200.
+QASM_BYTES_PER_GATE = 104
+
+
 @dataclass(frozen=True)
 class Gate:
+    """h q, cx ctrl,tgt or rz(angle) q, refused when made unless well formed."""
+
     name: str  # 'h' | 'cx' | 'rz'
     qubits: tuple[int, ...]
     angle: float | None = None
+
+    def __post_init__(self):
+        if self.name not in GATE_ARITY:
+            raise ValueError(f"unknown gate {self.name}")
+        if len(self.qubits) != GATE_ARITY[self.name]:
+            raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), got {self.qubits}")
+        if (self.angle is None) == (self.name == "rz"):
+            raise ValueError(f"{self.name} takes {'an' if self.name == 'rz' else 'no'} angle, got {self.angle}")
+        if self.name == "cx" and self.qubits[0] == self.qubits[1]:
+            raise ValueError(f"cx control and target are both qubit {self.qubits[0]}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError("rz angle must be finite")
 
 
 @dataclass
@@ -126,13 +132,9 @@ class Circuit:
         self._add(Gate("h", (q,)))
 
     def cx(self, ctrl: int, tgt: int):
-        if ctrl == tgt:
-            raise ValueError(f"cx control and target are both qubit {ctrl}")
         self._add(Gate("cx", (ctrl, tgt)))
 
     def rz(self, q: int, angle: float):
-        if not math.isfinite(angle):
-            raise ValueError("rz angle must be finite")
         self._add(Gate("rz", (q,), angle))
 
     def _add(self, gate: Gate):
@@ -140,55 +142,47 @@ class Circuit:
             raise ValueError(f"{gate.name} on qubits {gate.qubits} outside [0, {self.n_qubits})")
         self.gates.append(gate)
 
-    def extend(self, other: "Circuit"):
-        if other.n_qubits > self.n_qubits:
-            raise ValueError(f"cannot extend a {self.n_qubits}-qubit circuit by a {other.n_qubits}-qubit one")
-        self.gates.extend(other.gates)
-
     def repeated(self, steps: int) -> "Circuit":
-        """A new circuit of this one's gates `steps` >= 1 times over."""
+        """A new circuit of this one's gates `steps` >= 1 times over, refused
+        before it is built when it and its QASM text price over DENSE_MAX_BYTES."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
+        need = steps * len(self.gates) * QASM_BYTES_PER_GATE
+        if need > DENSE_MAX_BYTES:
+            raise ValueError(f"{steps} steps of {len(self.gates)} gates need about {need} bytes "
+                             f"({need / 2**30:.1f} GiB) as gates and QASM text, over the "
+                             f"{DENSE_MAX_BYTES}-byte budget")
         return Circuit(self.n_qubits, self.gates * steps)
 
     def to_qasm(self) -> str:
-        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{self.n_qubits}];"]
-        for g in self.gates:
-            if g.name == "h":
-                lines.append(f"h q[{g.qubits[0]}];")
-            elif g.name == "cx":
-                lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-            elif g.name == "rz":
-                lines.append(f"rz({g.angle!r}) q[{g.qubits[0]}];")
-            else:
-                raise ValueError(f"unknown gate {g.name}")
-        return "\n".join(lines) + "\n"
+        head = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{self.n_qubits}];"]
+        body = (f"{g.name}{'' if g.angle is None else f'({g.angle!r})'} q[{'],q['.join(map(str, g.qubits))}];"
+                for g in self.gates)
+        return "\n".join([*head, *body]) + "\n"
 
 
 def diagonal_z_terms(cfg: LatticeConfig):
     """The diagonal Hamiltonian as (constant, {site: coef}, {(a,b): coef})
     in the physical z convention (bit 1 means z = +1)."""
-    singles: dict[int, float] = {}
-    pairs: dict[tuple[int, int], float] = {}
+    singles: defaultdict[int, float] = defaultdict(float)
+    pairs: defaultdict[tuple[int, int], float] = defaultdict(float)
     const = 0.0
     if cfg.bc is BoundaryCondition.PERIODIC:
         jz = j_zz(cfg.lam)
         for p, q in bonds(cfg):
-            key = (min(p, q), max(p, q))
-            pairs[key] = pairs.get(key, 0.0) + jz
+            pairs[min(p, q), max(p, q)] += jz
         return const, singles, pairs
     hp, hpp = h_plus(cfg.lam), h_plusplus(cfg.lam)
     for p in range(cfg.n_plaq):
         const += hp / 2.0
-        singles[p] = singles.get(p, 0.0) + hp / 2.0
+        singles[p] += hp / 2.0
     for p, q in bonds(cfg):
         if q < 0:
             continue
         const -= hpp / 4.0
-        singles[p] = singles.get(p, 0.0) - hpp / 4.0
-        singles[q] = singles.get(q, 0.0) - hpp / 4.0
-        key = (min(p, q), max(p, q))
-        pairs[key] = pairs.get(key, 0.0) - hpp / 4.0
+        singles[p] -= hpp / 4.0
+        singles[q] -= hpp / 4.0
+        pairs[min(p, q), max(p, q)] -= hpp / 4.0
     return const, singles, pairs
 
 
@@ -241,9 +235,7 @@ def emit_trotter_step(cfg: LatticeConfig, dt: float) -> Circuit:
     diagonal part followed by the magnetic part.  The physical-to-qasm
     z-sign is absorbed as (-1)^|string| into each rotation angle; global
     phase constants are dropped."""
-    circ = emit_diagonal_part(cfg, dt)
-    circ.extend(emit_magnetic_part(cfg, dt))
-    return circ
+    return Circuit(cfg.n_plaq, emit_diagonal_part(cfg, dt).gates + emit_magnetic_part(cfg, dt).gates)
 
 
 def emit_trotter_circuit(cfg: LatticeConfig, dt: float, steps: int) -> Circuit:
@@ -281,12 +273,10 @@ def apply_circuit(circ: Circuit, psi: np.ndarray) -> np.ndarray:
             v = out.reshape(-1, 2, 1 << (abs(c - q) - 1), 2, 1 << min(c, q), k)
             off, on = (v[:, 1, :, 0] if c > q else v[:, 0, :, 1]), v[:, 1, :, 1]
             off[...], on[...] = on, off.copy()  # off is overwritten first, so only it is copied
-        elif g.name == "rz":
+        else:  # rz
             v = out.reshape(-1, 2, 1 << q, k)
             v[:, 0] *= np.exp(-1j * (g.angle / 2.0))
             v[:, 1] *= np.exp(1j * (g.angle / 2.0))
-        else:
-            raise ValueError(f"unknown gate {g.name}")
     return out
 
 

@@ -24,6 +24,7 @@ from .hamiltonian import build_hamiltonian
 from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
 from .observables import (
+    DENSE_MAX_BYTES,
     basis_state,
     diagonalize,
     expectation,
@@ -212,6 +213,11 @@ def cmd_evolve(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
         raise ValueError(f"--t must be finite, got {args.t}")
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    # the time grid, then trajectory's prepended copy, diff and abs of it: 8 bytes a time each
+    need = 4 * 8 * (args.steps + 1)
+    if need > DENSE_MAX_BYTES:
+        raise ValueError(f"--steps {args.steps} needs about {need} bytes ({need / 2**30:.1f} GiB) of time grids, "
+                         f"over the {DENSE_MAX_BYTES}-byte budget")
     op = build_hamiltonian(cfg)
     psi0 = basis_state(cfg, int(args.state, 16))
     o1, o2 = _wilson_operators(cfg)

@@ -137,15 +137,15 @@ def flip_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eigh
     around the eight-plaquette chain.  The magnetic term of H is
     H_x = -h_x sum_p O_1(p).
     """
+    # taken first: the chain refuses a plaquette outside the lattice
+    chain = neighbor_chain8(c, cfg) if eight else neighbor_chain6(c, cfg)
     i, j = c
-    if not cfg.in_range(i, j):
-        raise ValueError(f"plaquette {c} outside {cfg.nx}x{cfg.ny} lattice")
     here = cfg.site(i, j)
     if not eight:
-        return 1 << here, _O1_COEFF[flip_exponent(states, neighbor_chain6(c, cfg))]
+        return 1 << here, _O1_COEFF[flip_exponent(states, chain)]
     above = cfg.site(i, (j + 1) % cfg.ny)
     z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
-    amp = _O1_COEFF[flip_exponent(states, neighbor_chain8(c, cfg))] * (1.0 + 3.0 * z0z1) / 4.0
+    amp = _O1_COEFF[flip_exponent(states, chain)] * (1.0 + 3.0 * z0z1) / 4.0
     return (1 << here) ^ (1 << above), amp
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from reference import c_value, closed_diagonal, evaluate_expansion
 import hexgauge.circuit
 from hexgauge.circuit import (
     Circuit,
+    Gate,
     _expand_exact,
     apply_circuit,
     diagonal_z_terms,
@@ -44,23 +46,20 @@ def test_expansion_z_sites_within_chain():
 
 
 def test_expansion_roundtrip_exact():
-    # the expansion evaluates to (-1/2)^c on each of the 2^6 neighbor
-    # configurations, as exact dyadic rationals
-    cfg = LatticeConfig(3, 3, P, 1.0)
-    chain = neighbor_chain6((1, 1), cfg)
-    exact = _expand_exact((1, 1), cfg)
-    for assignment in range(64):
-        s = 0
-        for k in range(6):
-            if (assignment >> k) & 1:
-                s |= 1 << chain[k]
-        val = Fraction(0)
-        for sites, coeff in exact.items():
-            z = 1
-            for q in sites:
-                z *= 2 * ((s >> q) & 1) - 1
-            val += coeff * z
-        assert val == Fraction(-1, 2) ** c_value(s, (1, 1), cfg)
+    # at every plaquette the expansion evaluates to (-1/2)^c on each of the
+    # 2^6 neighbor configurations, as exact dyadic rationals; a closed
+    # lattice's outside slots read z = -1 whatever their bit, and its corners
+    # have edges with both slots outside
+    for nx, ny, bc in [(1, 1, C), (1, 3, C), (3, 3, C), (3, 3, P)]:
+        cfg = LatticeConfig(nx, ny, bc, 1.0)
+        for c in map(cfg.coord, range(cfg.n_plaq)):
+            chain, exact = neighbor_chain6(c, cfg), _expand_exact(c, cfg)
+            for assignment in range(64):
+                s = sum(1 << q for k, q in enumerate(chain) if q >= 0 and (assignment >> k) & 1)
+                val = Fraction(0)
+                for sites, coeff in exact.items():
+                    val += coeff * math.prod(2 * ((s >> q) & 1) - 1 for q in sites)
+                assert val == Fraction(-1, 2) ** c_value(s, c, cfg), (cfg, c, assignment)
 
 
 def test_expansion_c3_value():
@@ -334,14 +333,27 @@ def test_gates_reject_bad_qubits(name, qubits):
     assert circ.gates == []
 
 
-def test_extend_rejects_wider_circuit():
-    # extend would otherwise carry a checked gate past the narrower register
-    wide = Circuit(5)
-    wide.h(4)
-    narrow = Circuit(2)
-    with pytest.raises(ValueError, match="5-qubit"):
-        narrow.extend(wide)
-    assert narrow.gates == []
+@pytest.mark.parametrize("args, message", [
+    (("u3", (0,)), "unknown gate u3"),
+    (("h", (0, 1)), "h takes 1 qubit(s)"),
+    (("cx", (0,)), "cx takes 2 qubit(s)"),
+    (("rz", (0,)), "rz takes an angle"),
+    (("h", (0,), 0.1), "h takes no angle"),
+    (("cx", (0, 1), 0.1), "cx takes no angle"),
+    (("cx", (1, 1)), "cx control and target are both qubit 1"),
+    (("rz", (0,), float("inf")), "rz angle must be finite"),
+    (("rz", (0,), float("nan")), "rz angle must be finite"),
+])
+def test_gate_refuses_malformed(args, message):
+    # no gate that to_qasm or apply_circuit could not handle can be made
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        Gate(*args)
+
+
+def test_repeated_refuses_over_budget_before_building():
+    step = emit_trotter_step(LatticeConfig(1, 3, C, 1.0), 0.05)
+    with pytest.raises(ValueError, match="over the 2147483648-byte budget"):
+        step.repeated(10**12)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])

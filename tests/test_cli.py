@@ -314,6 +314,22 @@ def test_evolve_refuses_unfinishable_t(tmp_path, capsys, t):
     assert list(tmp_path.glob("e*")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["emit-circuit", "--nx", "1", "--ny", "3", "--bc", "closed", "--dt", "0.05"],
+    ["evolve", "--nx", "2", "--ny", "2"],
+])
+def test_steps_over_budget_refused(tmp_path, capsys, argv):
+    # a --steps whose gate list and QASM text, or time grid, would not fit
+    # the memory budget is refused before any of it is allocated
+    out = str(tmp_path / "s")
+    start = time.perf_counter()
+    assert main([*argv, "--steps", "1000000000000", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err and err.count("\n") == 1
+    assert list(tmp_path.glob("s*")) == []
+
+
 @pytest.mark.parametrize("key, value", [("nx", None), ("nx", 2.7), ("nx", True), ("lambda", "1")])
 def test_config_types_checked(tmp_path, capsys, key, value):
     # a non-integer size or a non-numeric coupling is refused by name, not
