@@ -22,6 +22,10 @@ from .lattice import LatticeConfig
 from .spinbasis import basis_dim, fold, state_array
 
 RESIDUAL_TOL = 1e-8
+# Lanczos cycles the lowest-eigenpair solve may take before it gives up; no
+# solve measured took over 5 (couplings 1e-3 to 1e5 up to 16 plaquettes, 0.25
+# to 4 at 20 and 22).
+LOWEST_MAX_CYCLES = 100
 # Bytes a dense solve may take: a quarter of an 8 GB machine.
 DENSE_MAX_BYTES = 1 << 31
 # Largest half * |dt| between consecutive output times, half being the
@@ -125,23 +129,16 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
                              "budget; use mode='lowest'")
         vals, vecs = _solve_blocks(op, vectors)
     elif mode == "lowest":
-        # ARPACK takes k < dim eigenpairs of a real operator, k < dim - 1 of a complex one
+        # operators this small are refused and sent to mode "full", which solves them outright
         kind, least = ("complex", 3) if np.iscomplexobj(op.matrix) else ("real", 2)
         if op.dim < least:
             raise ValueError(f"mode='lowest' needs dimension >= {least} for a {kind} operator, "
                              f"got dimension {op.dim}; use mode='full'")
-        # ARPACK's own start distribution, seeded; a structured vector such
-        # as all ones lies in one symmetry sector and hides the others.
+        # a seeded uniform start; a structured vector such as all ones lies
+        # in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
-        # imported here: only this solve uses it, and it adds to every import of hexgauge
-        import scipy.sparse.linalg
-        try:
-            # 8 Krylov vectors, not ARPACK's 20: reorthogonalizing against 20 costs more than the products with H
-            vals, vecs = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA", v0=v0, ncv=min(8, op.dim))
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            raise RuntimeError(f"eigensolver did not converge: {err}") from err
-        if not vectors:
-            vecs = None
+        val, vec = _lowest_pair(op.matrix, v0)
+        vals, vecs = np.array([val]), vec[:, None] if vectors else None
     else:
         raise ValueError(f"unknown mode {mode!r}")
     spec = Spectrum(np.asarray(vals, float), vecs)
@@ -181,6 +178,58 @@ def _solve_blocks(op: SparseOperator, vectors: bool):
     for block, (_, w), cols in zip(op.blocks, solved, np.split(np.argsort(order), edges[1:-1])):
         vecs[:, cols] = block @ w
     return vals[order], vecs
+
+
+def _lowest_pair(h, v0: np.ndarray):
+    """(theta, x): the lowest eigenvalue of Hermitian h and its unit vector.
+
+    Lanczos cycles of CYCLE steps from v0, each restarted from the last
+    cycle's normalized Ritz vector.  The three-term recurrence runs without
+    reorthogonalization against earlier vectors: the Ritz pair of a
+    converged extreme eigenvalue stays accurate without it (Paige, 1980).
+    A cycle stops once its residual beta |s_last| is within
+    3e-14 max(1, |theta|), or at once on an invariant subspace (beta 0),
+    where the Ritz pair is exact."""
+    # imported here: only this solve uses them, and they add to every import of hexgauge
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import get_blas_funcs
+
+    CYCLE = 16  # vectors per cycle; 20 or 24 took no fewer products with H on periodic 4x5
+    basis = np.empty((CYCLE, len(v0)), np.result_type(h.dtype, float))
+    axpy = get_blas_funcs("axpy", (basis,))
+    alpha, beta = np.empty(CYCLE), np.empty(CYCLE)
+    basis[0] = v0 / np.linalg.norm(v0)
+    for _ in range(LOWEST_MAX_CYCLES):
+        for j in range(CYCLE):
+            # w = H v_j - alpha_j v_j - beta_j-1 v_j-1, in place in the product
+            w = h @ basis[j]
+            alpha[j] = np.vdot(basis[j], w).real
+            axpy(basis[j], w, a=-alpha[j])
+            if j:
+                axpy(basis[j - 1], w, a=-beta[j - 1])
+            else:
+                # from a nearly converged restart, H v_0 - alpha_0 v_0 is barely
+                # above its rounding, so v_1 is projected off v_0 a second time;
+                # without it periodic 2x11 stalled above the tolerance for 144 products
+                extra = np.vdot(basis[0], w)
+                axpy(basis[0], w, a=-extra)
+                alpha[0] += extra.real
+            beta[j] = np.linalg.norm(w)
+            # T is solved every 4 steps (CYCLE is a multiple of 4): each solve costs 40-70 us
+            if beta[j] == 0 or j % 4 == 3:
+                theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i", select_range=(0, 0))
+                # 3e-14, not 1e-14: 1e-14 sits on the rounding floor at dim 2^19
+                if done := beta[j] * abs(s[-1, 0]) <= 3e-14 * max(1.0, abs(theta[0])):
+                    break
+            if j + 1 < CYCLE:
+                np.divide(w, beta[j], out=basis[j + 1])
+        x = s[:, 0] @ basis[:j + 1]
+        x /= np.linalg.norm(x)
+        if done:
+            return float(theta[0]), x
+        basis[0] = x
+    raise RuntimeError(f"eigensolver did not converge: no Ritz pair within tolerance after "
+                       f"{LOWEST_MAX_CYCLES} cycles of {CYCLE} Lanczos steps")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +76,60 @@ def test_lowest_mode_matches_full():
             assert abs(low[0] - np.linalg.eigvalsh(op.to_dense())[0]) < 1e-10, (op.label, lam)
 
 
+class _CountingOperator:
+    """A matrix that counts its products with a vector or a block."""
+
+    def __init__(self, matrix):
+        self.matrix, self.dtype, self.shape, self.products = matrix, matrix.dtype, matrix.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def test_lowest_mode_exact_on_invariant_subspace():
+    # a Krylov space that closes early (beta 0, or beta at rounding) ends
+    # the solve with the exact pair, and divides by no zero beta
+    vals = np.tile([2.0, -1.5, 0.25], 20)
+    for dtype in (float, complex):
+        three = SparseOperator(scipy.sparse.diags(vals.astype(dtype)).tocsr(), "test:60")
+        zero = SparseOperator(scipy.sparse.csr_matrix((60, 60), dtype=dtype), "test:60")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec, flat = diagonalize(three, mode="lowest"), diagonalize(zero, mode="lowest")
+        assert spec.eigenvalues[0] == pytest.approx(-1.5, abs=1e-14)
+        assert np.abs(spec.eigenvectors[vals != -1.5]).max() < 1e-14
+        assert flat.eigenvalues[0] == 0.0 and flat.residual == 0.0
+
+
+def test_lowest_mode_restarts_until_converged(monkeypatch):
+    # closed 2x5 needs more than one cycle of 16 products; restarted from
+    # its Ritz vector it reaches the dense lowest eigenvalue, and a cap of
+    # one cycle makes it give up with a raise
+    op = build_closed(LatticeConfig(2, 5, C, 1.0))
+    counted = _CountingOperator(op.matrix)
+    low = diagonalize(SparseOperator(counted, op.label), mode="lowest").eigenvalues[0]
+    assert counted.products > 17
+    assert abs(low - np.linalg.eigvalsh(op.to_dense())[0]) < 1e-12
+    monkeypatch.setattr(observables, "LOWEST_MAX_CYCLES", 1)
+    with pytest.raises(RuntimeError, match="eigensolver did not converge"):
+        diagonalize(op, mode="lowest")
+
+
+@pytest.mark.parametrize("nx, ny, bc, most", [(4, 4, P, 48), (3, 5, C, 60)])
+def test_lowest_mode_products_with_h(nx, ny, bc, most):
+    # products with H at lambda = 1, the residual check's included; ARPACK
+    # with 8 vectors took 45 on periodic 4x4 and 65 on closed 3x5
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    op = build_periodic(cfg) if bc is P else build_closed(cfg)
+    counted = _CountingOperator(op.matrix)
+    diagonalize(SparseOperator(counted, op.label), mode="lowest")
+    assert counted.products <= most
+
+
 def test_lowest_mode_peak_under_30_vectors():
-    # 8 Krylov vectors keep one solve's traced peak near 22 dim-length
-    # vectors; ARPACK's default 20 took it to 46
+    # a cycle's 16 Lanczos vectors keep one solve's traced peak near 20
+    # dim-length vectors; ARPACK with its default 20 vectors took it to 46
     op = build_closed(LatticeConfig(3, 5, C, 1.0))
     diagonalize(build_closed(LatticeConfig(2, 2, C, 1.0)), mode="lowest")  # first-call imports
     tracemalloc.start()
@@ -467,8 +519,8 @@ def test_lowest_mode_rejects_bad_k(k):
 
 
 def test_lowest_mode_refuses_tiny_operators():
-    # ARPACK cannot take one eigenpair of a real dim-1 or a complex dim-2
-    # operator; the solve refuses them before scipy does, and mode "full" works
+    # the lowest solve refuses a real dim-1 and a complex dim-2 operator and
+    # names mode "full", which solves them
     real = SparseOperator(scipy.sparse.csr_matrix(np.array([[2.0]])), "test:1")
     herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), "test:2")
     for op, kind in ((real, "real"), (herm, "complex")):

@@ -19,7 +19,7 @@ def test_no_assert_statements():
 
 def test_solvers_only_in_observables():
     # one solver layer: eigen-solves and exp(-iHt) are taken in observables
-    solvers = {"eigh", "eigvalsh", "eigsh", "expm_multiply", "jv"}
+    solvers = {"eigh", "eigvalsh", "eigsh", "eigh_tridiagonal", "expm_multiply", "jv"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "observables.py":
@@ -141,9 +141,9 @@ def test_one_nondegenerate_lattice_check():
 
 
 def test_import_loads_no_unused_scipy_module():
-    # eigsh, the MatrixMarket writer and jv are imported where they are used
+    # eigh_tridiagonal, the MatrixMarket writer and jv are imported where they are used
     code = ("import sys, hexgauge; "
-            "print(sorted({'scipy.sparse.linalg', 'scipy.io', 'scipy.special'} & set(sys.modules)))")
+            "print(sorted({'scipy.linalg', 'scipy.sparse.linalg', 'scipy.io', 'scipy.special'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]", out
