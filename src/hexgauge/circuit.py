@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
-from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, require_nondegenerate
+from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
 from .observables import DENSE_MAX_BYTES, StateVector, evolve
 
 HALF = Fraction(1, 2)
@@ -51,8 +51,6 @@ def _expand_exact(c: tuple[int, int], cfg: LatticeConfig) -> dict[frozenset[int]
         q1, q2 = chain[k], chain[(k + 1) % 6]
         if q1 < 0 and q2 < 0:
             continue  # z z = (-1)(-1): the factor is alpha + beta = 1
-        if q1 == q2:
-            raise ValueError("degenerate chain: plaquette adjacent to itself")
         # factor = alpha * z_K z_{K+1} + beta, alpha/beta = 1/2 -+ u/2; an outside
         # slot reads z = -1: alpha's term keeps the inside sites, signed (-1)^outside
         sign = -1 if min(q1, q2) < 0 else 1
@@ -200,7 +198,6 @@ def emit_diagonal_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """exp(-i H_diag dt): single-z rotations, then bond ladders.  All terms
     commute, so this piece is exact at any dt (up to the dropped
     global-phase constant)."""
-    require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     _, singles, pairs = diagonal_z_terms(cfg)
     for q in sorted(singles):
@@ -216,7 +213,6 @@ def emit_magnetic_part(cfg: LatticeConfig, dt: float) -> Circuit:
     """Magnetic term plaquette by plaquette: Hadamard on the flip site, one
     CNOT ladder + rz per Pauli term, Hadamard back.  Terms within a
     plaquette group commute (all diagonal after the basis change)."""
-    require_nondegenerate(cfg)
     circ = Circuit(cfg.n_plaq)
     hx = h_x(cfg.lam)
     for p in range(cfg.n_plaq):

@@ -108,9 +108,10 @@ def require_nondegenerate(cfg: LatticeConfig):
 
 
 def resolve(cfg: LatticeConfig, i: int, j: int) -> int:
-    """Site index of a raw coordinate, wrapped under periodic BC; -1 when it
-    falls outside a closed lattice."""
+    """Site index of a raw coordinate, wrapped under periodic BC, where every
+    neighbor reader refuses a degenerate torus; -1 outside a closed lattice."""
     if cfg.periodic:
+        require_nondegenerate(cfg)
         return cfg.site(i % cfg.nx, j % cfg.ny)
     return cfg.site(i, j) if cfg.in_range(i, j) else -1
 

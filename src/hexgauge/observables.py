@@ -129,11 +129,8 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
                              "budget; use mode='lowest'")
         vals, vecs = _solve_blocks(op, vectors)
     elif mode == "lowest":
-        # operators this small are refused and sent to mode "full", which solves them outright
-        kind, least = ("complex", 3) if np.iscomplexobj(op.matrix) else ("real", 2)
-        if op.dim < least:
-            raise ValueError(f"mode='lowest' needs dimension >= {least} for a {kind} operator, "
-                             f"got dimension {op.dim}; use mode='full'")
+        if op.dim == 0:
+            raise ValueError("mode='lowest' needs an operator of dimension >= 1, got dimension 0")
         # a seeded uniform start; a structured vector such as all ones lies
         # in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)

@@ -377,7 +377,7 @@ def test_verify_refuses_over_cap_before_building_h(monkeypatch):
 
     monkeypatch.setattr(hexgauge.circuit, "build_closed", refuse)
     monkeypatch.setattr(hexgauge.circuit, "build_periodic_full", refuse)
-    n = VERIFY_MAX_QUBITS + 1
-    for cfg in (LatticeConfig(1, n, C, 1.0), LatticeConfig(n, 1, P, 1.0)):
+    for cfg in (LatticeConfig(1, VERIFY_MAX_QUBITS + 1, C, 1.0), LatticeConfig(3, 6, P, 1.0)):
+        assert cfg.n_plaq > VERIFY_MAX_QUBITS
         with pytest.raises(ValueError, match=f"capped at {VERIFY_MAX_QUBITS} qubits"):
-            verify_circuit(Circuit(n), cfg, 0.1)
+            verify_circuit(Circuit(cfg.n_plaq), cfg, 0.1)

@@ -285,6 +285,13 @@ def _lattice_chain_state(draw):
 def test_kernels_match_scalar_reference(case):
     cfg, c, eight, states = case
     arr = np.array(states, dtype=np.int64)
+    if cfg.periodic and (cfg.nx < 2 or cfg.ny < 2):
+        # a degenerate torus has no spin model: the chain and bond readers refuse it
+        for kernel in (lambda: (neighbor_chain8 if eight else neighbor_chain6)(c, cfg),
+                       lambda: bond_diagonal(arr, cfg)):
+            with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
+                kernel()
+        return
     if eight and cfg.periodic and (cfg.nx < 2 or cfg.ny < 3):
         # the eight-plaquette chain wraps onto the pair, which has no O2
         with pytest.raises(ValueError, match="wraps onto the pair"):

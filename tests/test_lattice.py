@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from hexgauge.circuit import diagonal_z_terms, pauli_expand
+from hexgauge.hamiltonian import bond_diagonal, flip_action
 from hexgauge.lattice import (
     BoundaryCondition,
     LatticeConfig,
@@ -10,6 +13,7 @@ from hexgauge.lattice import (
     neighbor_chain6,
     neighbor_chain8,
 )
+from hexgauge.observables import wilson1_operator
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -145,3 +149,20 @@ def test_inversion_maps_chains_and_bonds(nx, ny):
 def test_inversion_needs_periodic_bc():
     with pytest.raises(ValueError, match="periodic"):
         inversion(LatticeConfig(2, 3, C, 1.0))
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 2), (2, 1), (1, 3), (3, 1)])
+def test_neighbor_readers_refuse_degenerate_torus(nx, ny):
+    # a periodic row or column of one plaquette is its own neighbor: every
+    # reader of a wrapped neighbor refuses it with the one message
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    states = np.arange(1 << cfg.n_plaq, dtype=np.int64)
+    readers = (lambda: neighbor_chain6((0, 0), cfg), lambda: neighbor_chain8((0, 0), cfg),
+               lambda: bonds(cfg), lambda: inversion(cfg),
+               lambda: flip_action(cfg, states, (0, 0), eight=False), lambda: bond_diagonal(states, cfg),
+               lambda: wilson1_operator(cfg), lambda: pauli_expand((0, 0), cfg), lambda: diagonal_z_terms(cfg))
+    for read in readers:
+        with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
+            read()
+    # the same sizes stay readable under closed BC
+    assert neighbor_chain6((0, 0), LatticeConfig(nx, ny, C, 1.0))

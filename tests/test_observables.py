@@ -518,17 +518,26 @@ def test_lowest_mode_rejects_bad_k(k):
     assert diagonalize(op, mode="lowest").eigenvalues.shape == (1,)
 
 
-def test_lowest_mode_refuses_tiny_operators():
-    # the lowest solve refuses a real dim-1 and a complex dim-2 operator and
-    # names mode "full", which solves them
+def test_lowest_mode_solves_tiny_operators():
+    # the restarted Lanczos solve has no dimension floor: real and complex
+    # operators of dimension 1 to 3 match eigvalsh, with no warning
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            a = rng.normal(size=(dim, dim))
+            for m in (a + a.T, a + a.T + 1j * (a - a.T), np.zeros((dim, dim)), np.eye(dim)):
+                op = SparseOperator(scipy.sparse.csr_matrix(m), f"test:{dim}")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    spec = diagonalize(op, mode="lowest")
+                assert abs(spec.eigenvalues[0] - np.linalg.eigvalsh(m)[0]) <= 1e-13
     real = SparseOperator(scipy.sparse.csr_matrix(np.array([[2.0]])), "test:1")
     herm = SparseOperator(scipy.sparse.csr_matrix(np.array([[1.0, 1j], [-1j, 1.0]])), "test:2")
-    for op, kind in ((real, "real"), (herm, "complex")):
-        with pytest.raises(ValueError, match=rf"dimension >= \d for a {kind} operator, "
-                                             rf"got dimension {op.dim}; use mode='full'"):
-            diagonalize(op, mode="lowest")
     assert diagonalize(real).eigenvalues[0] == 2.0
     assert diagonalize(herm).eigenvalues[0] == pytest.approx(0.0, abs=1e-15)
+    # an empty operator has no lowest eigenpair
+    with pytest.raises(ValueError, match="got dimension 0"):
+        diagonalize(SparseOperator(scipy.sparse.csr_matrix((0, 0)), "test:0"), mode="lowest")
 
 
 def test_full_mode_checks_its_blocks():

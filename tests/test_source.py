@@ -140,6 +140,19 @@ def test_one_nondegenerate_lattice_check():
     assert found == ["lattice.py"], found
 
 
+def test_nondegenerate_check_where_it_guards():
+    # lattice.resolve refuses a degenerate torus for every reader of a wrapped
+    # neighbor; the builder refuses it before allocating, and build_sector and
+    # cmd_basis, which read no neighbor, refuse it up front
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {(path.name, fn.name) for node in ast.walk(fn) if _calls(node, "require_nondegenerate")}
+    assert callers == {("lattice.py", "resolve"), ("hamiltonian.py", "_require_periodic"),
+                       ("spinbasis.py", "build_sector"), ("cli.py", "cmd_basis")}, callers
+
+
 def test_import_loads_no_unused_scipy_module():
     # eigh_tridiagonal, the MatrixMarket writer and jv are imported where they are used
     code = ("import sys, hexgauge; "
