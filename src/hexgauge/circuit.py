@@ -24,7 +24,7 @@ import numpy as np
 
 from .hamiltonian import build_closed, build_periodic_full, h_plus, h_plusplus, h_x, j_zz
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6
-from .observables import DENSE_MAX_BYTES, StateVector, evolve
+from .observables import StateVector, evolve, require_budget
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -142,14 +142,11 @@ class Circuit:
 
     def repeated(self, steps: int) -> "Circuit":
         """A new circuit of this one's gates `steps` >= 1 times over, refused
-        before it is built when it and its QASM text price over DENSE_MAX_BYTES."""
+        before it is built when it and its QASM text price over the dense budget."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        need = steps * len(self.gates) * QASM_BYTES_PER_GATE
-        if need > DENSE_MAX_BYTES:
-            raise ValueError(f"{steps} steps of {len(self.gates)} gates need about {need} bytes "
-                             f"({need / 2**30:.1f} GiB) as gates and QASM text, over the "
-                             f"{DENSE_MAX_BYTES}-byte budget")
+        require_budget(steps * len(self.gates) * QASM_BYTES_PER_GATE,
+                       f"a circuit of {steps} steps of {len(self.gates)} gates with its QASM text")
         return Circuit(self.n_qubits, self.gates * steps)
 
     def to_qasm(self) -> str:

@@ -23,15 +23,8 @@ from .circuit import emit_trotter_step, verify_circuit, VERIFY_MAX_QUBITS
 from .hamiltonian import build_hamiltonian
 from .lattice import LatticeConfig, require_nondegenerate
 from .momentum import sector_spectra, wilson1_block, wilson2_block
-from .observables import (
-    DENSE_MAX_BYTES,
-    basis_state,
-    diagonalize,
-    expectation,
-    trajectory,
-    wilson1_operator,
-    wilson2_operator,
-)
+from .observables import (basis_state, dense_solve_bytes, diagonalize, expectation, require_budget, trajectory,
+                          wilson1_operator, wilson2_operator)
 from .oracle import certify_isomorphism
 from .spinbasis import all_sectors, basis_dim, build_sector
 
@@ -99,20 +92,26 @@ def _wilson_operators(cfg: LatticeConfig):
 # main writes the manifest over those paths.
 
 def cmd_spectrum(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
+    op = None
     if args.sectors:
         # sector_spectra runs, and refuses closed BC, before the file opens
         rows = ((nx_q, ny_q, k, v) for nx_q, ny_q, vals in sector_spectra(cfg)
                 for k, v in enumerate(vals.tolist()))
         paths = [_write_csv(args.out + ".sectors.csv", "nx_q,ny_q,index,eigenvalue", rows)]
     else:
-        # the translation sectors split a periodic H into blocks whose
-        # spectra together are H's; closed BC has no translations to split by
-        vals = (np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)])) if cfg.periodic
-                else diagonalize(build_hamiltonian(cfg), mode="full", vectors=False).eigenvalues)
+        if cfg.periodic:
+            # the translation sectors split a periodic H into blocks whose spectra together are H's
+            vals = np.sort(np.concatenate([v for _, _, v in sector_spectra(cfg)]))
+        else:
+            # closed BC has no translations to split by: its one real block is priced before H is built
+            dim = basis_dim(cfg, False)
+            require_budget(dense_solve_bytes(dim, 8, vectors=False), f"full diagonalization of dimension {dim}")
+            op = build_hamiltonian(cfg)
+            vals = diagonalize(op, mode="full", vectors=False).eigenvalues
         paths = [_write_csv(args.out + ".spectrum.csv", "index,eigenvalue", enumerate(vals.tolist()))]
     if args.export_mtx:
         # the real-space H, whichever route gave the eigenvalues
-        build_hamiltonian(cfg).export_mtx(args.out + ".mtx")
+        (op or build_hamiltonian(cfg)).export_mtx(args.out + ".mtx")
         paths.append(args.out + ".mtx")
     return 0, paths
 
@@ -214,10 +213,7 @@ def cmd_evolve(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     # the time grid, then trajectory's prepended copy, diff and abs of it: 8 bytes a time each
-    need = 4 * 8 * (args.steps + 1)
-    if need > DENSE_MAX_BYTES:
-        raise ValueError(f"--steps {args.steps} needs about {need} bytes ({need / 2**30:.1f} GiB) of time grids, "
-                         f"over the {DENSE_MAX_BYTES}-byte budget")
+    require_budget(4 * 8 * (args.steps + 1), f"--steps {args.steps} with its time grids")
     op = build_hamiltonian(cfg)
     psi0 = basis_state(cfg, int(args.state, 16))
     o1, o2 = _wilson_operators(cfg)

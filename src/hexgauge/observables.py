@@ -105,6 +105,20 @@ class Spectrum:
                    for i in range(0, v.shape[1], 128))
 
 
+def require_budget(need: int, what: str):
+    """Refuse `what` before it is built when it needs over DENSE_MAX_BYTES."""
+    if need > DENSE_MAX_BYTES:
+        raise ValueError(f"{what} needs about {need} bytes ({need / 2**30:.1f} GiB), "
+                         f"over the {DENSE_MAX_BYTES}-byte dense budget")
+
+
+def dense_solve_bytes(size: int, itemsize: int, vectors: bool) -> int:
+    """The price of one dense solve of a (size, size) block: numpy's eigvalsh
+    peaks near 2.4 dense copies of it (the matrix and LAPACK's working copy),
+    eigh near 5.6 (eigenvectors and workspace)."""
+    return size**2 * itemsize * (6 if vectors else 3)
+
+
 def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) -> Spectrum:
     """Eigenvalues (ascending) of a Hermitian operator.
 
@@ -115,18 +129,13 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
     pseudo-random start vector, so repeated solves return the same one.
     """
     if mode == "full":
-        # numpy's eigvalsh peaks near 2.4 dense copies of a block (the matrix
-        # and LAPACK's working copy), eigh near 5.6 (eigenvectors and
-        # workspace); the largest block sets the price, and with vectors the
-        # (dim, dim) eigenvectors in Q's dtype (H's without blocks) are kept.
+        # the largest block sets the price, and with vectors the (dim, dim)
+        # eigenvectors in Q's dtype (H's without blocks) are kept
         blocks = op.blocks or [op.matrix]
         size = max(block.shape[1] for block in blocks)
-        need = (size**2 * (8 if op.blocks else op.matrix.dtype.itemsize) * (6 if vectors else 3)
-                + vectors * op.dim**2 * blocks[0].dtype.itemsize)
-        if need > DENSE_MAX_BYTES:
-            raise ValueError(f"full diagonalization of {'a block of ' * bool(op.blocks)}dimension {size} needs about "
-                             f"{need} bytes ({need / 2**30:.1f} GiB), over the {DENSE_MAX_BYTES}-byte dense "
-                             "budget; use mode='lowest'")
+        require_budget(dense_solve_bytes(size, 8 if op.blocks else op.matrix.dtype.itemsize, vectors)
+                       + vectors * op.dim**2 * blocks[0].dtype.itemsize,
+                       f"full diagonalization of {'a block of ' * bool(op.blocks)}dimension {size}")
         vals, vecs = _solve_blocks(op, vectors)
     elif mode == "lowest":
         if op.dim == 0:

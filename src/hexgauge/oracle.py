@@ -426,8 +426,9 @@ def certify_isomorphism(cfg: LatticeConfig) -> CertReport:
     """
     from .hamiltonian import build_hamiltonian
 
-    enum = enumerate_gauge_states(cfg)
+    # the spin side first: basis_dim refuses a lattice over the cap before the GF(2) elimination
     spin = build_hamiltonian(cfg)
+    enum = enumerate_gauge_states(cfg)
     dim = spin.dim
     if dim != enum.n_reachable:
         raise ValueError(f"state count mismatch: spin {dim} vs gauge {enum.n_reachable}")

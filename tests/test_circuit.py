@@ -352,7 +352,7 @@ def test_gate_refuses_malformed(args, message):
 
 def test_repeated_refuses_over_budget_before_building():
     step = emit_trotter_step(LatticeConfig(1, 3, C, 1.0), 0.05)
-    with pytest.raises(ValueError, match="over the 2147483648-byte budget"):
+    with pytest.raises(ValueError, match="over the 2147483648-byte dense budget"):
         step.repeated(10**12)
 
 

@@ -5,12 +5,15 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from hexgauge import cli, spinbasis
+from hexgauge import cli, oracle, spinbasis
+from hexgauge.circuit import emit_trotter_step
 from hexgauge.cli import main
-from hexgauge.hamiltonian import build_periodic, h_plus, h_x
+from hexgauge.hamiltonian import SparseOperator, build_hamiltonian, build_periodic, h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
 from hexgauge.momentum import wilson1_block, wilson2_block
+from hexgauge.observables import diagonalize
 
 
 def _write_cfg(tmp_path, nx=2, ny=2, bc="periodic", lam=1.0):
@@ -328,6 +331,69 @@ def test_steps_over_budget_refused(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err and err.count("\n") == 1
     assert list(tmp_path.glob("s*")) == []
+
+
+def _no_call(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 5), (2, 11)])
+def test_closed_spectrum_priced_before_build(tmp_path, capsys, monkeypatch, nx, ny):
+    # closed H is one block of dimension 2^N: its dense solve is priced from
+    # that dimension and refused before any Hamiltonian is built
+    monkeypatch.setattr(cli, "build_hamiltonian", _no_call("build_hamiltonian"))
+    start = time.perf_counter()
+    assert main(["spectrum", "--nx", str(nx), "--ny", str(ny), "--bc", "closed", "--out", str(tmp_path / "s")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"dimension {1 << nx * ny} needs about" in err and "dense budget" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_refuses_over_cap_before_enumeration(tmp_path, capsys, monkeypatch):
+    # the spin side is built first, so basis_dim refuses an over-cap lattice
+    # before the gauge enumeration's GF(2) elimination runs
+    monkeypatch.setattr(oracle, "enumerate_gauge_states", _no_call("enumerate_gauge_states"))
+    assert main(["verify", "--nx", "5", "--ny", "5", "--bc", "closed", "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "25 plaquettes; enumeration is capped at 22" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_export_mtx_reuses_solved_h(tmp_path, monkeypatch):
+    # closed spectrum --export-mtx writes the H it just solved, built once
+    built = []
+
+    def counted(cfg):
+        built.append(cfg)
+        return build_hamiltonian(cfg)
+
+    monkeypatch.setattr(cli, "build_hamiltonian", counted)
+    out = str(tmp_path / "r")
+    assert main(["spectrum", "--nx", "2", "--ny", "3", "--bc", "closed", "--export-mtx", "--out", out]) == 0
+    assert len(built) == 1
+    build_hamiltonian(LatticeConfig(2, 3, BoundaryCondition.CLOSED, 1.0)).export_mtx(str(tmp_path / "ref.mtx"))
+    assert (tmp_path / "r.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
+def _evolve_steps(steps):
+    args = cli.build_parser().parse_args(["evolve", "--steps", str(steps)])
+    return cli.cmd_evolve(LatticeConfig(2, 2, BoundaryCondition.PERIODIC, 1.0), args)
+
+
+@pytest.mark.parametrize("refused", [
+    # a 20000-dimensional operator: its dense solve alone would take 9.6 GB
+    lambda: diagonalize(SparseOperator(scipy.sparse.identity(20000, format="csr"), "identity"), vectors=False),
+    lambda: _evolve_steps(10**12),
+    lambda: emit_trotter_step(LatticeConfig(1, 3, BoundaryCondition.CLOSED, 1.0), 0.05).repeated(10**12),
+], ids=["diagonalize", "evolve", "repeated"])
+def test_one_budget_message(refused):
+    # every refusal over the dense budget is observables.require_budget's one message
+    message = r"needs about \d+ bytes \(\d+\.\d GiB\), over the 2147483648-byte dense budget$"
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 @pytest.mark.parametrize("key, value", [("nx", None), ("nx", 2.7), ("nx", True), ("lambda", "1")])

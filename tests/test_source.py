@@ -59,6 +59,19 @@ def test_one_flip_kernel():
     assert inside >= 1 and len(calls) == inside, f"flip_exponent called outside flip_action: {calls}"
 
 
+def test_one_budget_check():
+    # DENSE_MAX_BYTES is read only by observables.require_budget, the one
+    # comparison against it and the one message; apart from that, it is only assigned
+    reads, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and path.name == "observables.py" and node.name == "require_budget":
+                inside += sum(_reads_budget(n) for n in ast.walk(node))
+            if _reads_budget(node):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert inside >= 1 and len(reads) == inside, f"DENSE_MAX_BYTES read outside observables.require_budget: {reads}"
+
+
 def test_one_phase_table():
     # every momentum phase is read from spinbasis.root_table: cmath.exp is
     # called nowhere else
@@ -126,6 +139,12 @@ def test_gate_kernel_in_place():
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
     return (getattr(func, "id", None) or getattr(func, "attr", None)) == name
+
+
+def _reads_budget(node) -> bool:
+    # a load of the name, or of the attribute through a module
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name == "DENSE_MAX_BYTES" and isinstance(getattr(node, "ctx", None), ast.Load)
 
 
 def _calls_exp(node) -> bool:
