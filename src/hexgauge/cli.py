@@ -198,9 +198,7 @@ def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
             if o is None:
                 continue
             # the stored nonzero entries, row-major; + 0.0 writes -0.0 as 0.0
-            block = make(*sectors)
-            block.eliminate_zeros()
-            block = block.tocoo()
+            block = make(*sectors).tocoo()
             vals = block.data + 0.0
             rows = zip(block.row.tolist(), block.col.tolist(), vals.real.tolist(), vals.imag.tolist())
             paths.append(_write_csv(f"{args.out}.{name}_block.csv", "row,col,re,im", rows))

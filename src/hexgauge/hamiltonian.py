@@ -94,14 +94,15 @@ class SparseOperator:
         # imported here: only this export uses it, and it adds to every import of hexgauge
         import scipy.io
         field, symmetry = ("complex", "hermitian") if np.iscomplexobj(self.matrix) else ("real", "symmetric")
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(self.matrix), field=field, symmetry=symmetry)
+        scipy.io.mmwrite(path, self.matrix, field=field, symmetry=symmetry)
 
     @staticmethod
-    def rows_csr(cols: np.ndarray, vals: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Square CSR storing vals[s, i] at (s, cols[s, i]): m distinct columns
-        in every row of the (dim, m) arrays, wrapped as given, sorted in place."""
+    def rows_csr(cols: np.ndarray, vals: np.ndarray, n_cols: int | None = None) -> scipy.sparse.csr_matrix:
+        """CSR storing vals[s, i] at (s, cols[s, i]): m entries in every row of
+        the (dim, m) arrays, wrapped as given, sorted in place; square unless
+        n_cols is given.  A caller whose rows repeat a column sums them."""
         dim, m = cols.shape
-        mat = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, dim * m + 1, m)), (dim, dim))
+        mat = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, dim * m + 1, m)), (dim, n_cols or dim))
         mat.sort_indices()
         return mat
 

@@ -27,19 +27,15 @@ from .spinbasis import (
 
 
 def _targets(sector: MomentumSector, flipped: np.ndarray):
-    """Where each flipped state lands in the sector.
-
-    Returns (row, hit, N_b, (lx, ly)): T^l |flipped> is the representative
-    b = reps[row] up to a global flip, and hit is False where b's momentum
-    state vanishes in this sector (row and N_b are then meaningless).
-    """
-    cfg = sector.cfg
-    s = fold(flipped, cfg)
-    b, g = sector.orbits.rep[s], sector.orbits.shift[s]
+    """Where each flipped state lands in the sector: (row, hit, N_b, g), the
+    state being the translate T^g (g = rx + nx*ry) of b = reps[row] up to a
+    global flip, and hit False where b's momentum state vanishes in this
+    sector (row and N_b are then meaningless)."""
+    s = fold(flipped, sector.cfg)
+    b = sector.orbits.rep[s]
     # every sector keeps the single-up orbit (trivial stabilizer): dim >= 1
     row = np.minimum(np.searchsorted(sector.reps, b), sector.dim - 1)
-    hit = sector.reps[row] == b
-    return row, hit, sector.norms[row], ((-g) % cfg.nx, (-(g // cfg.nx)) % cfg.ny)
+    return row, sector.reps[row] == b, sector.norms[row], sector.orbits.shift[s]
 
 
 def _operator(sector: MomentumSector, matrix, blocks=None) -> SparseOperator:
@@ -82,9 +78,9 @@ def inversion_blocks(sector: MomentumSector) -> list[scipy.sparse.csc_matrix]:
     (the odd one may be empty).
     """
     cfg, n, dim = sector.cfg, sector.cfg.n_plaq, sector.dim
-    b, hit, _, (lx, ly) = _targets(sector, permute(sector.reps, inversion(cfg)))
+    b, hit, _, g = _targets(sector, permute(sector.reps, inversion(cfg)))
     a = np.arange(dim)
-    m = -momentum_numerator(cfg, sector.nx_q, sector.ny_q, lx, ly)
+    m = -momentum_numerator(cfg, sector.nx_q, sector.ny_q, (-g) % cfg.nx, (-(g // cfg.nx)) % cfg.ny)
     s = root_table(n)[m % n]
     if not (hit.all() and np.array_equal(b[b], a) and np.array_equal(s[b], s)):
         raise RuntimeError(f"inversion does not map sector ({sector.nx_q}, {sector.ny_q}) onto itself")
@@ -94,10 +90,10 @@ def inversion_blocks(sector: MomentumSector) -> list[scipy.sparse.csc_matrix]:
     lo, hi = a < b, a > b
     ca = np.where(lo, r, np.where(hi, -u * r * s, w))
     cb = np.where(lo, r * s, np.where(hi, u * r, 0.0))
-    # column a stores ca at row a and cb at row b; where b = a the two sum
-    q = scipy.sparse.csc_matrix((np.column_stack([ca, cb]).ravel(), np.column_stack([a, b]).ravel(),
-                                 np.arange(0, 2 * dim + 1, 2)), (dim, dim))
-    q.sum_duplicates()
+    # column a of Q stores ca at row a and cb at row b: row a of Q^T, where b = a the two sum
+    qt = SparseOperator.rows_csr(np.column_stack([a, b]), np.column_stack([ca, cb]))
+    qt.sum_duplicates()
+    q = qt.T
     if not real:
         return [q]
     even = lo | ((a == b) & (s > 0))
@@ -121,34 +117,32 @@ def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.spa
 
 def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
                 denom: int) -> scipy.sparse.csr_matrix:
-    """The one flip pass of the sector blocks: row r of each (n_plaq, dim)
-    array is translation r, flip_action at plaquette -r on the
-    representatives, relocated to sector_p's representatives with phase
-    exp(i phi) and weight sqrt(N_b/N_a), and the sum divided by denom.  The
-    block is real (float64) when every phase it stores is real."""
-    cfg = sector.cfg
+    """The one flip pass of the sector blocks, one translation r at a time:
+    entry (a, r) of a (dim, n_plaq) pattern is flip_action at plaquette -r on
+    reps[a], moved to sector_p's representative b with phase exp(i phi) and
+    weight sqrt(N_b/N_a)/denom, or 0 where b vanishes in sector_p.  Row a of
+    the pattern is column a of the block, stored real (float64) when every
+    phase is real, which is where k = -k and k' = -k'."""
+    cfg, n = sector.cfg, sector.cfg.n_plaq
     if sector_p.cfg != cfg:
         raise ValueError("sectors belong to different lattices")
-    g = np.arange(cfg.n_plaq)[:, None]
-    rx, ry = g % cfg.nx, g // cfg.nx
-    masks = np.empty((cfg.n_plaq, 1), dtype=np.int64)
-    amp = np.empty((cfg.n_plaq, sector.dim))
-    for r in range(cfg.n_plaq):
-        masks[r], amp[r] = flip_action(cfg, sector.reps, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
-    row, hit, nb, (lx, ly) = _targets(sector_p, sector.reps ^ masks)
-    # phi/(2 pi) with common denominator nx*ny
-    num = (
-        momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, rx, ry)
-        - momentum_numerator(cfg, sector.nx_q, sector.ny_q, rx, ry)
-        - momentum_numerator(cfg, sector_p.nx_q, sector_p.ny_q, lx, ly)
-    )
-    phase = root_table(cfg.n_plaq)[num[hit] % cfg.n_plaq]
-    if not phase.imag.any():
-        phase = phase.real
-    cols = np.broadcast_to(np.arange(sector.dim), hit.shape)[hit]
-    vals = (np.sqrt(nb / sector.norms) / denom)[hit] * phase * amp[hit]
-    # entries per column vary and two translations may coincide: COO sums them
-    return scipy.sparse.coo_matrix((vals, (row[hit], cols)), shape=(sector_p.dim, sector.dim)).tocsr()
+    g = np.arange(n)
+    nk, nkp = (momentum_numerator(cfg, s.nx_q, s.ny_q, g % cfg.nx, g // cfg.nx) for s in (sector, sector_p))
+    # phi = (k'-k).r - k'.l over 2 pi, l = -g undoing b's shift: row r, column g
+    phases = root_table(n)[((nkp - nk)[:, None] + nkp) % n]
+    if not phases.imag.any():
+        phases = phases.real
+    rows = np.empty((sector.dim, n), dtype=np.int32)
+    vals = np.empty((sector.dim, n), dtype=phases.dtype)
+    for r in range(n):
+        mask, amp = flip_action(cfg, sector.reps, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
+        rows[:, r], hit, nb, shift = _targets(sector_p, sector.reps ^ mask)
+        vals[:, r] = np.where(hit, np.sqrt(nb / sector.norms) / denom * phases[r, shift] * amp, 0.0)
+    # two translations may land on one representative: sum them, drop the zeros, then transpose
+    pattern = SparseOperator.rows_csr(rows, vals, sector_p.dim)
+    pattern.sum_duplicates()
+    pattern.eliminate_zeros()
+    return pattern.T.tocsr()
 
 
 def momentum_transform(sector: MomentumSector) -> np.ndarray:

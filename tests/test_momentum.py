@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,3 +408,25 @@ def test_blocks_refuse_sectors_of_two_lattices():
     sb = build_sector(LatticeConfig(3, 2, P, 1.0), 0, 0)
     with pytest.raises(ValueError, match="sectors belong to different lattices"):
         wilson1_block(sa, sb)
+
+
+@pytest.mark.parametrize("nx,ny,k,k_prime", [(4, 4, (0, 0), (0, 0)), (4, 4, (1, 1), (1, 1)), (3, 4, (1, 0), (2, 0))])
+def test_sector_blocks_peak_under_eight_patterns(nx, ny, k, k_prime):
+    # each block is written one translation at a time into a (dim, n_plaq)
+    # row and value pattern, with no (n_plaq, dim) temporaries beside it: the
+    # traced peak stays below 8 float arrays of that shape
+    cfg = LatticeConfig(nx, ny, P, 1.0)
+    sector = build_sector(cfg, *k)
+    sector_p = build_sector(cfg, *k_prime, sector.orbits)
+    unit = sector.dim * cfg.n_plaq * 8
+    for make in (lambda: wilson1_block(sector, sector_p), lambda: wilson2_block(sector, sector_p),
+                 lambda: hamiltonian_block(sector)):
+        make()  # the cached phase table and first-call imports, untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            make()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * unit, peak / unit

@@ -72,6 +72,20 @@ def test_one_budget_check():
     assert inside >= 1 and len(reads) == inside, f"DENSE_MAX_BYTES read outside observables.require_budget: {reads}"
 
 
+def test_one_sparse_constructor():
+    # every sparse matrix built from raw arrays (H, the Wilson operators, the
+    # KS Hamiltonian, the sector blocks and the inversion basis) is wrapped
+    # by SparseOperator.rows_csr
+    constructors = [f"{fmt}_{kind}" for fmt in ("coo", "csr", "csc") for kind in ("matrix", "array")]
+    calls, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and path.name == "hamiltonian.py" and node.name == "rows_csr":
+                inside += sum(_calls(n, name) for n in ast.walk(node) for name in constructors)
+            calls += [f"{path.name}:{node.lineno} {name}" for name in constructors if _calls(node, name)]
+    assert inside >= 1 and len(calls) == inside, f"sparse constructors outside SparseOperator.rows_csr: {calls}"
+
+
 def test_one_phase_table():
     # every momentum phase is read from spinbasis.root_table: cmath.exp is
     # called nowhere else
