@@ -13,11 +13,16 @@ up->down transitions around the six-neighbor chain and is invariant under
 the global flip, which is what makes the quotient construction consistent.
 
 The flip term is minus the one-plaquette Wilson loop summed over
-plaquettes, H_x = -h_x sum_p O_1(p).  One array kernel, flip_action, gives
-the (flip mask, amplitude) of O_1 or O_2 over a whole state array from
-flip_exponent's c; bond_diagonal does the same for the diagonal.  A single
-assembler builds the closed-full, periodic-quotient and periodic-full
-bases from them, and the Wilson operators and momentum blocks use the
+plaquettes, H_x = -h_x sum_p O_1(p).  The kernels read a state array as
+uint8 site bit planes (site_planes), one byte per state and site.  One
+kernel, flip_action, gives the (flip mask, amplitude) of O_1 or O_2 from
+flip_exponent's c; bond_diagonal does the same for the diagonal.  Neither
+amplitude reads a site its flip changes, so each row reads it at its own
+state, never at the flipped column.  A single assembler builds the
+closed-full, periodic-quotient and periodic-full bases ASSEMBLE_CHUNK
+states at a time (chunked_rows): each chunk's entries are written slot by
+slot into contiguous rows, then copied transposed into the CSR row arrays.
+The Wilson operators take the same chunk loop, and the momentum blocks the
 same kernel.
 """
 
@@ -30,9 +35,13 @@ import numpy as np
 import scipy.sparse
 
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, neighbor_chain8, require_nondegenerate
-from .spinbasis import fold, state_array
+from .spinbasis import basis_dim, fold
 
 SQRT3 = math.sqrt(3.0)
+# States per chunk of chunked_rows, a power of two like every basis size:
+# a chunk's slot buffers (12 bytes per state and slot) stay in cache, and
+# at 2^15 states below the (dim,) temporaries of an unchunked build.
+ASSEMBLE_CHUNK = 1 << 12
 
 
 def h_plus(lam: float) -> float:
@@ -107,64 +116,80 @@ class SparseOperator:
         return mat
 
 
-def flip_exponent(states: np.ndarray, chain) -> np.ndarray:
-    """c for every state of an int64 array: the number of cyclic chain
+def site_planes(states: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """(n_plaq, len) uint8 bit planes of a state array: row p holds bit p
+    (1 = spin up) of every state, one byte each, as the kernels read it."""
+    bit = np.arange(cfg.n_plaq)
+    # whole bytes first, so that no temporary outgrows the uint8 planes
+    byte = (states >> np.arange(0, cfg.n_plaq, 8, dtype=states.dtype)[:, None]).astype(np.uint8)
+    planes = byte[bit >> 3]
+    planes >>= (bit & 7).astype(np.uint8)[:, None]
+    planes &= 1
+    return planes
+
+
+def flip_exponent(planes: np.ndarray, chain) -> np.ndarray:
+    """c for every state of a site_planes array: the number of cyclic chain
     positions K whose site is up while the site at K+1 is down.
 
     chain lists site indices (6 for a plaquette, 8 for a vertical pair);
     -1 marks a site outside the lattice, which reads as down.
     """
-    c = np.zeros(states.shape, dtype=np.int64)
+    c = np.zeros(planes.shape[1], dtype=np.uint8)
     for k, q in enumerate(chain):
         if q < 0:
             continue
         nxt = chain[(k + 1) % len(chain)]
-        up = (states >> q) & 1
-        c += up if nxt < 0 else up & ~(states >> nxt)
+        c += planes[q] if nxt < 0 else planes[q] > planes[nxt]
     return c
 
 
 # -(-1/2)^c, O_1's coefficient; c is at most half the chain length (4)
 _O1_COEFF = -((-0.5) ** np.arange(5))
+# O_2's factor (1 + 3 z_c z_c') / 4, indexed by z_c != z_c'
+_ZZ_FACTOR = (1.0 + 3.0 * np.array([1.0, -1.0])) / 4.0
 
 
-def flip_action(cfg: LatticeConfig, states: np.ndarray, c: tuple[int, int], eight: bool):
+def flip_action(cfg: LatticeConfig, planes: np.ndarray, c: tuple[int, int], eight: bool):
     """(flip mask, amplitude per state) of O_1 at c (eight=False) or of O_2
-    on the pair c, c+(0,1) (eight=True): the one kernel behind every flip
-    operator.
+    on the pair c, c+(0,1) (eight=True) over a site_planes array: the one
+    kernel behind every flip operator.
 
     O_1: -(-1/2)^c times the flip of plaquette c.  O_2: -(-1/2)^c8
     (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with c8 counted
     around the eight-plaquette chain.  The magnetic term of H is
-    H_x = -h_x sum_p O_1(p).
+    H_x = -h_x sum_p O_1(p).  Neither amplitude reads a flipped site, and
+    both are invariant under the global flip, so each is the same read at a
+    state and at its image under the flip (folded or not).
     """
     # taken first: the chain refuses a plaquette outside the lattice
     chain = neighbor_chain8(c, cfg) if eight else neighbor_chain6(c, cfg)
     i, j = c
     here = cfg.site(i, j)
     if not eight:
-        return 1 << here, _O1_COEFF[flip_exponent(states, chain)]
+        return 1 << here, np.take(_O1_COEFF, flip_exponent(planes, chain))
     above = cfg.site(i, (j + 1) % cfg.ny)
-    z0z1 = 1 - 2 * (((states >> here) ^ (states >> above)) & 1)
-    amp = _O1_COEFF[flip_exponent(states, chain)] * (1.0 + 3.0 * z0z1) / 4.0
+    amp = np.take(_O1_COEFF, flip_exponent(planes, chain)) * np.take(_ZZ_FACTOR, planes[here] ^ planes[above])
     return (1 << here) ^ (1 << above), amp
 
 
-def bond_diagonal(states: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    """Bond part of the diagonal for every state of an int64 array.
+def bond_diagonal(planes: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """Bond part of the diagonal for every state of a site_planes array.
 
     Periodic BC: the integer sum of z_p z_q over all bond keys.  Closed BC:
     h_plus * n_up - h_pp * (up-up bond count).
     """
-    total = np.zeros(states.shape, dtype=np.int64)
-    for p, q in bonds(cfg):
+    total = np.zeros(planes.shape[1], dtype=np.uint8)
+    pairs = bonds(cfg)
+    for p, q in pairs:
         if cfg.periodic:
-            total += 1 - 2 * (((states >> p) ^ (states >> q)) & 1)
+            total += planes[p] ^ planes[q]
         elif q >= 0:
-            total += (states >> p) & (states >> q) & 1
+            total += planes[p] & planes[q]
     if cfg.periodic:
-        return total
-    return h_plus(cfg.lam) * np.bitwise_count(states) - h_plusplus(cfg.lam) * total
+        # each bond reads z_p z_q = 1 - 2 [z_p != z_q]
+        return len(pairs) - 2 * total.astype(np.int64)
+    return h_plus(cfg.lam) * planes.sum(axis=0, dtype=np.uint8) - h_plusplus(cfg.lam) * total
 
 
 def flipped(states: np.ndarray, mask: int, cfg: LatticeConfig, quotient: bool) -> np.ndarray:
@@ -211,22 +236,41 @@ def _require_periodic(cfg: LatticeConfig):
     require_nondegenerate(cfg)
 
 
+def chunked_rows(cfg: LatticeConfig, quotient: bool, m: int, write) -> scipy.sparse.csr_matrix:
+    """rows_csr over the basis states 0 .. dim-1 with m entries per row,
+    built ASSEMBLE_CHUNK states at a time: write(states, planes, cols, vals)
+    fills one chunk's (m, chunk) slot-major buffers, each slot a contiguous
+    row, which are then copied transposed into the (dim, m) row arrays."""
+    dim = basis_dim(cfg, quotient)
+    size = min(dim, ASSEMBLE_CHUNK)  # both powers of two: every chunk is full
+    cols, vals = np.empty((dim, m), dtype=np.int32), np.empty((dim, m))
+    chunk_cols, chunk_vals = np.empty((m, size), dtype=np.int32), np.empty((m, size))
+    for lo in range(0, dim, size):
+        # int32 like the columns: every basis index fits
+        states = np.arange(lo, lo + size, dtype=np.int32)
+        write(states, site_planes(states, cfg), chunk_cols, chunk_vals)
+        cols[lo:lo + size] = chunk_cols.T
+        vals[lo:lo + size] = chunk_vals.T
+    return SparseOperator.rows_csr(cols, vals)
+
+
 def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     """H on the flip quotient or on all 2^N states.
 
     Row s stores the diagonal, zeros included, and for every plaquette p
-    the entry at t = flip_p(s): -h_x times O_1(p)'s amplitude read at t,
-    since each flip is an involution and maps column t onto row s.
+    the entry at t = flip_p(s), the column the involution flip_p maps onto
+    row s: -h_x times O_1(p)'s amplitude, which reads the same at s as at t.
     """
-    lam = cfg.lam
-    states = state_array(cfg, quotient)
-    cols = np.empty((len(states), cfg.n_plaq + 1), dtype=np.int32)
-    vals = np.empty(cols.shape)
-    cols[:, 0] = states
-    vals[:, 0] = bond_diagonal(states, cfg) * (j_zz(lam) if cfg.periodic else 1.0)
-    for p in range(cfg.n_plaq):
-        mask, amp = flip_action(cfg, states, cfg.coord(p), eight=False)
-        amp *= -h_x(lam)
-        cols[:, p + 1] = t = flipped(states, mask, cfg, quotient)
-        vals[:, p + 1] = amp[t]
-    return SparseOperator(SparseOperator.rows_csr(cols, vals), basis_label(cfg, quotient))
+    diag_scale = j_zz(cfg.lam) if cfg.periodic else 1.0
+    flip_scale = -h_x(cfg.lam)
+    plaquettes = [cfg.coord(p) for p in range(cfg.n_plaq)]
+
+    def write(states, planes, cols, vals):
+        cols[0] = states
+        np.multiply(bond_diagonal(planes, cfg), diag_scale, out=vals[0])
+        for p, c in enumerate(plaquettes, 1):
+            mask, amp = flip_action(cfg, planes, c, eight=False)
+            cols[p] = flipped(states, mask, cfg, quotient)
+            np.multiply(amp, flip_scale, out=vals[p])
+
+    return SparseOperator(chunked_rows(cfg, quotient, cfg.n_plaq + 1, write), basis_label(cfg, quotient))

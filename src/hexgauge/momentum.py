@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz
+from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz, site_planes
 from .lattice import LatticeConfig, inversion
 from .observables import diagonalize
 from .spinbasis import (
@@ -45,7 +45,7 @@ def _operator(sector: MomentumSector, matrix, blocks=None) -> SparseOperator:
 def hzz_block(sector: MomentumSector) -> SparseOperator:
     """Diagonal electric block: sum of the three forward bond products."""
     cols = np.arange(sector.dim, dtype=np.int32)[:, None]
-    diag = bond_diagonal(sector.reps, sector.cfg).astype(float)[:, None]
+    diag = bond_diagonal(site_planes(sector.reps, sector.cfg), sector.cfg).astype(float)[:, None]
     return _operator(sector, SparseOperator.rows_csr(cols, diag))
 
 
@@ -134,8 +134,9 @@ def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
         phases = phases.real
     rows = np.empty((sector.dim, n), dtype=np.int32)
     vals = np.empty((sector.dim, n), dtype=phases.dtype)
+    planes = site_planes(sector.reps, cfg)
     for r in range(n):
-        mask, amp = flip_action(cfg, sector.reps, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
+        mask, amp = flip_action(cfg, planes, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
         rows[:, r], hit, nb, shift = _targets(sector_p, sector.reps ^ mask)
         vals[:, r] = np.where(hit, np.sqrt(nb / sector.norms) / denom * phases[r, shift] * amp, 0.0)
     # two translations may land on one representative: sum them, drop the zeros, then transpose

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .hamiltonian import SparseOperator, basis_label, flip_action, flipped
+from .hamiltonian import SparseOperator, basis_label, chunked_rows, flip_action, flipped
 from .lattice import LatticeConfig
-from .spinbasis import basis_dim, fold, state_array
+from .spinbasis import basis_dim, fold
 
 RESIDUAL_TOL = 1e-8
 # Lanczos cycles the lowest-eigenpair solve may take before it gives up; no
@@ -243,11 +243,14 @@ def _lowest_pair(h, v0: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> scipy.sparse.csr_matrix:
-    """Row s stores amp[t] at t = |s ^ mask>, the column the flip maps onto s."""
-    states = state_array(cfg, cfg.periodic)
-    mask, amp = flip_action(cfg, states, c, eight)
-    t = flipped(states, mask, cfg, cfg.periodic)
-    return SparseOperator.rows_csr(t.astype(np.int32)[:, None], amp[t][:, None])
+    """Row s stores the amplitude at t = |s ^ mask>, the column the flip
+    maps onto s; the amplitude reads the same at s as at t."""
+    def write(states, planes, cols, vals):
+        mask, amp = flip_action(cfg, planes, c, eight)
+        cols[0] = flipped(states, mask, cfg, cfg.periodic)
+        vals[0] = amp
+
+    return chunked_rows(cfg, cfg.periodic, 1, write)
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:

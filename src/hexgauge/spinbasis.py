@@ -44,7 +44,7 @@ def state_array(cfg: LatticeConfig, quotient: bool) -> np.ndarray:
 
 
 def fold(states, cfg: LatticeConfig):
-    """The smaller member of each global-flip pair, for an int or int64 array."""
+    """The smaller member of each global-flip pair, for an int or an integer array."""
     return np.minimum(states, states ^ full_mask(cfg))
 
 

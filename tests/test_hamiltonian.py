@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import c_value, closed_diagonal
 
+from hexgauge import hamiltonian
 from hexgauge.hamiltonian import (
     bond_diagonal,
     build_closed,
+    build_hamiltonian,
     build_periodic,
     build_periodic_full,
+    flip_action,
     flip_exponent,
+    flipped,
     h_plus,
     h_plusplus,
     h_x,
     j_zz,
+    site_planes,
 )
 from hexgauge.lattice import (
     BoundaryCondition,
@@ -288,7 +294,7 @@ def test_kernels_match_scalar_reference(case):
     if cfg.periodic and (cfg.nx < 2 or cfg.ny < 2):
         # a degenerate torus has no spin model: the chain and bond readers refuse it
         for kernel in (lambda: (neighbor_chain8 if eight else neighbor_chain6)(c, cfg),
-                       lambda: bond_diagonal(arr, cfg)):
+                       lambda: bond_diagonal(site_planes(arr, cfg), cfg)):
             with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
                 kernel()
         return
@@ -298,11 +304,11 @@ def test_kernels_match_scalar_reference(case):
             neighbor_chain8(c, cfg)
         eight = False
     chain = (neighbor_chain8 if eight else neighbor_chain6)(c, cfg)
-    got = flip_exponent(arr, chain)
+    got = flip_exponent(site_planes(arr, cfg), chain)
     assert got.tolist() == [_scalar_c(s, chain) for s in states]
     if not eight:
         assert got.tolist() == [c_value(s, c, cfg) for s in states]
-    diag = bond_diagonal(arr, cfg)
+    diag = bond_diagonal(site_planes(arr, cfg), cfg)
     if cfg.periodic:
         assert diag.tolist() == [_scalar_zz(s, bonds(cfg)) for s in states]
     else:
@@ -355,6 +361,72 @@ def test_assembler_matches_scalar_loop(builder, quotient, nx, ny, bc):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("builder,quotient,nx,ny,bc", [
+    (build_closed, False, 2, 5, C),
+    (build_periodic, True, 3, 4, P),
+    (build_periodic_full, False, 3, 3, P),
+])
+def test_assembler_matches_scalar_loop_across_chunks(monkeypatch, builder, quotient, nx, ny, bc):
+    # 16-state chunks split these bases into 32 to 128 chunks, each written
+    # slot-major and copied transposed into its rows
+    monkeypatch.setattr(hamiltonian, "ASSEMBLE_CHUNK", 16)
+    cfg = LatticeConfig(nx, ny, bc, 0.8)
+    got = builder(cfg).matrix
+    ref = _scalar_assemble(cfg, quotient)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("nx,ny,bc,quotient", [
+    (2, 3, C, False),
+    (3, 3, C, False),
+    (3, 3, P, True),
+    (3, 3, P, False),
+    (3, 4, P, True),
+    (3, 4, P, False),
+])
+def test_flip_amplitudes_read_the_same_at_the_flipped_state(nx, ny, bc, quotient):
+    # neither O1's nor O2's amplitude reads a site it flips, and both are
+    # invariant under the global flip: each row reads its amplitude at its
+    # own state s, not at the column t = flipped(s)
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    states = state_array(cfg, quotient)
+    planes = site_planes(states, cfg)
+    pairs = 0
+    for p in range(cfg.n_plaq):
+        c = cfg.coord(p)
+        kinds = [False]
+        try:
+            neighbor_chain8(c, cfg)
+            kinds.append(True)
+            pairs += 1
+        except ValueError:
+            pass
+        for eight in kinds:
+            mask, amp = flip_action(cfg, planes, c, eight)
+            t = flipped(states, mask, cfg, quotient)
+            assert np.array_equal(amp, amp[t]), (c, eight)
+    assert pairs == (cfg.n_plaq if cfg.periodic else cfg.nx * (cfg.ny - 1))
+
+
+def test_build_peak_near_the_csr():
+    # the build writes its row arrays in place, ASSEMBLE_CHUNK states at a
+    # time, with no (dim,) temporaries per plaquette beside them: the traced
+    # peak stays within 15% of the CSR it returns (closed 3x6, 2^18 states)
+    cfg = LatticeConfig(3, 6, C, 1.0)
+    build_hamiltonian(LatticeConfig(2, 2, C, 1.0))  # first-call imports, untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mat = build_hamiltonian(cfg).matrix
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    csr = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak < 1.15 * csr, peak / csr
 
 
 @pytest.mark.parametrize("builder,nx,ny,bc", [

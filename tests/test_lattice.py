@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hexgauge.circuit import diagonal_z_terms, pauli_expand
-from hexgauge.hamiltonian import bond_diagonal, flip_action
+from hexgauge.hamiltonian import bond_diagonal, flip_action, site_planes
 from hexgauge.lattice import (
     BoundaryCondition,
     LatticeConfig,
@@ -159,7 +159,8 @@ def test_neighbor_readers_refuse_degenerate_torus(nx, ny):
     states = np.arange(1 << cfg.n_plaq, dtype=np.int64)
     readers = (lambda: neighbor_chain6((0, 0), cfg), lambda: neighbor_chain8((0, 0), cfg),
                lambda: bonds(cfg), lambda: inversion(cfg),
-               lambda: flip_action(cfg, states, (0, 0), eight=False), lambda: bond_diagonal(states, cfg),
+               lambda: flip_action(cfg, site_planes(states, cfg), (0, 0), eight=False),
+               lambda: bond_diagonal(site_planes(states, cfg), cfg),
                lambda: wilson1_operator(cfg), lambda: pauli_expand((0, 0), cfg), lambda: diagonal_z_terms(cfg))
     for read in readers:
         with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
