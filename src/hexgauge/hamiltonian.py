@@ -16,9 +16,11 @@ The flip term is minus the one-plaquette Wilson loop summed over
 plaquettes, H_x = -h_x sum_p O_1(p).  The kernels read a state array as
 uint8 site bit planes (site_planes), one byte per state and site.  One
 kernel, flip_action, gives the (flip mask, amplitude) of O_1 or O_2 from
-flip_exponent's c; bond_diagonal does the same for the diagonal.  Neither
-amplitude reads a site its flip changes, so each row reads it at its own
-state, never at the flipped column.  A single assembler builds the
+flip_exponent's c; bond_diagonal does the same for the diagonal.  Each
+resolves its chain or bond list once per operator and returns the function
+that reads it over a planes array.  Neither amplitude reads a site its flip
+changes, so each row reads it at its own state, never at the flipped
+column.  A single assembler builds the
 closed-full, periodic-quotient and periodic-full bases ASSEMBLE_CHUNK
 states at a time (chunked_rows): each chunk's entries are written slot by
 slot into contiguous rows, then copied transposed into the CSR row arrays.
@@ -30,12 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import BoundaryCondition, LatticeConfig, bonds, neighbor_chain6, neighbor_chain8, require_nondegenerate
 from .spinbasis import basis_dim, fold
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 SQRT3 = math.sqrt(3.0)
 # States per chunk of chunked_rows, a power of two like every basis size:
@@ -110,6 +115,8 @@ class SparseOperator:
         """CSR storing vals[s, i] at (s, cols[s, i]): m entries in every row of
         the (dim, m) arrays, wrapped as given, sorted in place; square unless
         n_cols is given.  A caller whose rows repeat a column sums them."""
+        # imported here: the first sparse matrix loads it, and it adds over 100 ms to every import of hexgauge
+        import scipy.sparse
         dim, m = cols.shape
         mat = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, dim * m + 1, m)), (dim, n_cols or dim))
         mat.sort_indices()
@@ -150,10 +157,11 @@ _O1_COEFF = -((-0.5) ** np.arange(5))
 _ZZ_FACTOR = (1.0 + 3.0 * np.array([1.0, -1.0])) / 4.0
 
 
-def flip_action(cfg: LatticeConfig, planes: np.ndarray, c: tuple[int, int], eight: bool):
-    """(flip mask, amplitude per state) of O_1 at c (eight=False) or of O_2
-    on the pair c, c+(0,1) (eight=True) over a site_planes array: the one
-    kernel behind every flip operator.
+def flip_action(cfg: LatticeConfig, c: tuple[int, int], eight: bool):
+    """(flip mask, amplitude) of O_1 at c (eight=False) or of O_2 on the pair
+    c, c+(0,1) (eight=True): the one kernel behind every flip operator.  The
+    chain is resolved here, once per operator; amplitude(planes) reads it
+    over each site_planes array the operator is built from.
 
     O_1: -(-1/2)^c times the flip of plaquette c.  O_2: -(-1/2)^c8
     (1 + 3 z_c z_c') / 4 times the flip of both plaquettes, with c8 counted
@@ -167,29 +175,37 @@ def flip_action(cfg: LatticeConfig, planes: np.ndarray, c: tuple[int, int], eigh
     i, j = c
     here = cfg.site(i, j)
     if not eight:
-        return 1 << here, np.take(_O1_COEFF, flip_exponent(planes, chain))
+        return 1 << here, lambda planes: np.take(_O1_COEFF, flip_exponent(planes, chain))
     above = cfg.site(i, (j + 1) % cfg.ny)
-    amp = np.take(_O1_COEFF, flip_exponent(planes, chain)) * np.take(_ZZ_FACTOR, planes[here] ^ planes[above])
-    return (1 << here) ^ (1 << above), amp
+
+    def amplitude(planes):
+        return np.take(_O1_COEFF, flip_exponent(planes, chain)) * np.take(_ZZ_FACTOR, planes[here] ^ planes[above])
+
+    return (1 << here) ^ (1 << above), amplitude
 
 
-def bond_diagonal(planes: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    """Bond part of the diagonal for every state of a site_planes array.
+def bond_diagonal(cfg: LatticeConfig):
+    """The bond part of the diagonal as a function of a site_planes array,
+    the bond list resolved here, once per operator.
 
     Periodic BC: the integer sum of z_p z_q over all bond keys.  Closed BC:
     h_plus * n_up - h_pp * (up-up bond count).
     """
-    total = np.zeros(planes.shape[1], dtype=np.uint8)
     pairs = bonds(cfg)
-    for p, q in pairs:
+
+    def diagonal(planes):
+        total = np.zeros(planes.shape[1], dtype=np.uint8)
+        for p, q in pairs:
+            if cfg.periodic:
+                total += planes[p] ^ planes[q]
+            elif q >= 0:
+                total += planes[p] & planes[q]
         if cfg.periodic:
-            total += planes[p] ^ planes[q]
-        elif q >= 0:
-            total += planes[p] & planes[q]
-    if cfg.periodic:
-        # each bond reads z_p z_q = 1 - 2 [z_p != z_q]
-        return len(pairs) - 2 * total.astype(np.int64)
-    return h_plus(cfg.lam) * planes.sum(axis=0, dtype=np.uint8) - h_plusplus(cfg.lam) * total
+            # each bond reads z_p z_q = 1 - 2 [z_p != z_q]
+            return len(pairs) - 2 * total.astype(np.int64)
+        return h_plus(cfg.lam) * planes.sum(axis=0, dtype=np.uint8) - h_plusplus(cfg.lam) * total
+
+    return diagonal
 
 
 def flipped(states: np.ndarray, mask: int, cfg: LatticeConfig, quotient: bool) -> np.ndarray:
@@ -261,16 +277,17 @@ def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     the entry at t = flip_p(s), the column the involution flip_p maps onto
     row s: -h_x times O_1(p)'s amplitude, which reads the same at s as at t.
     """
+    basis_dim(cfg, quotient)  # refuses a lattice over the cap before its chains are resolved
     diag_scale = j_zz(cfg.lam) if cfg.periodic else 1.0
     flip_scale = -h_x(cfg.lam)
-    plaquettes = [cfg.coord(p) for p in range(cfg.n_plaq)]
+    diagonal = bond_diagonal(cfg)
+    flips = [flip_action(cfg, cfg.coord(p), eight=False) for p in range(cfg.n_plaq)]
 
     def write(states, planes, cols, vals):
         cols[0] = states
-        np.multiply(bond_diagonal(planes, cfg), diag_scale, out=vals[0])
-        for p, c in enumerate(plaquettes, 1):
-            mask, amp = flip_action(cfg, planes, c, eight=False)
+        np.multiply(diagonal(planes), diag_scale, out=vals[0])
+        for p, (mask, amplitude) in enumerate(flips, 1):
             cols[p] = flipped(states, mask, cfg, quotient)
-            np.multiply(amp, flip_scale, out=vals[p])
+            np.multiply(amplitude(planes), flip_scale, out=vals[p])
 
     return SparseOperator(chunked_rows(cfg, quotient, cfg.n_plaq + 1, write), basis_label(cfg, quotient))

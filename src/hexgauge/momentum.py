@@ -15,8 +15,9 @@ so every dense solve of a sector is a real one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse
 
 from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz, site_planes
 from .lattice import LatticeConfig, inversion
@@ -24,6 +25,9 @@ from .observables import diagonalize
 from .spinbasis import (
     MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, permute, root_table, translate,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 def _targets(sector: MomentumSector, flipped: np.ndarray):
@@ -45,7 +49,7 @@ def _operator(sector: MomentumSector, matrix, blocks=None) -> SparseOperator:
 def hzz_block(sector: MomentumSector) -> SparseOperator:
     """Diagonal electric block: sum of the three forward bond products."""
     cols = np.arange(sector.dim, dtype=np.int32)[:, None]
-    diag = bond_diagonal(site_planes(sector.reps, sector.cfg), sector.cfg).astype(float)[:, None]
+    diag = bond_diagonal(sector.cfg)(site_planes(sector.reps, sector.cfg)).astype(float)[:, None]
     return _operator(sector, SparseOperator.rows_csr(cols, diag))
 
 
@@ -136,9 +140,9 @@ def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
     vals = np.empty((sector.dim, n), dtype=phases.dtype)
     planes = site_planes(sector.reps, cfg)
     for r in range(n):
-        mask, amp = flip_action(cfg, planes, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
+        mask, amplitude = flip_action(cfg, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
         rows[:, r], hit, nb, shift = _targets(sector_p, sector.reps ^ mask)
-        vals[:, r] = np.where(hit, np.sqrt(nb / sector.norms) / denom * phases[r, shift] * amp, 0.0)
+        vals[:, r] = np.where(hit, np.sqrt(nb / sector.norms) / denom * phases[r, shift] * amplitude(planes), 0.0)
     # two translations may land on one representative: sum them, drop the zeros, then transpose
     pattern = SparseOperator.rows_csr(rows, vals, sector_p.dim)
     pattern.sum_duplicates()

@@ -13,13 +13,16 @@ steps cost about 4 products with H per unit of half-width * t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .hamiltonian import SparseOperator, basis_label, chunked_rows, flip_action, flipped
 from .lattice import LatticeConfig
 from .spinbasis import basis_dim, fold
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 RESIDUAL_TOL = 1e-8
 # Lanczos cycles the lowest-eigenpair solve may take before it gives up; no
@@ -164,6 +167,8 @@ def _solve_blocks(op: SparseOperator, vectors: bool):
     an imaginary part over 1e-12 of its largest entry, and vectors Q_i W_i."""
     m, sizes = op.matrix, [block.shape[1] for block in op.blocks or [op.matrix]]
     if op.blocks is not None:
+        # imported here: it adds over 100 ms to every import of hexgauge, and the blocks loaded it when they were built
+        import scipy.sparse
         q = scipy.sparse.hstack(op.blocks, format="csc")
         m = (q.conj().T @ m @ q).tocoo()
         which = np.repeat(np.arange(len(sizes)), sizes)
@@ -245,10 +250,11 @@ def _lowest_pair(h, v0: np.ndarray):
 def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> scipy.sparse.csr_matrix:
     """Row s stores the amplitude at t = |s ^ mask>, the column the flip
     maps onto s; the amplitude reads the same at s as at t."""
+    mask, amplitude = flip_action(cfg, c, eight)
+
     def write(states, planes, cols, vals):
-        mask, amp = flip_action(cfg, planes, c, eight)
         cols[0] = flipped(states, mask, cfg, cfg.periodic)
-        vals[0] = amp
+        vals[0] = amplitude(planes)
 
     return chunked_rows(cfg, cfg.periodic, 1, write)
 

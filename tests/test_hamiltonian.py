@@ -294,7 +294,7 @@ def test_kernels_match_scalar_reference(case):
     if cfg.periodic and (cfg.nx < 2 or cfg.ny < 2):
         # a degenerate torus has no spin model: the chain and bond readers refuse it
         for kernel in (lambda: (neighbor_chain8 if eight else neighbor_chain6)(c, cfg),
-                       lambda: bond_diagonal(site_planes(arr, cfg), cfg)):
+                       lambda: bond_diagonal(cfg)(site_planes(arr, cfg))):
             with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):
                 kernel()
         return
@@ -308,7 +308,7 @@ def test_kernels_match_scalar_reference(case):
     assert got.tolist() == [_scalar_c(s, chain) for s in states]
     if not eight:
         assert got.tolist() == [c_value(s, c, cfg) for s in states]
-    diag = bond_diagonal(site_planes(arr, cfg), cfg)
+    diag = bond_diagonal(cfg)(site_planes(arr, cfg))
     if cfg.periodic:
         assert diag.tolist() == [_scalar_zz(s, bonds(cfg)) for s in states]
     else:
@@ -406,7 +406,8 @@ def test_flip_amplitudes_read_the_same_at_the_flipped_state(nx, ny, bc, quotient
         except ValueError:
             pass
         for eight in kinds:
-            mask, amp = flip_action(cfg, planes, c, eight)
+            mask, amplitude = flip_action(cfg, c, eight)
+            amp = amplitude(planes)
             t = flipped(states, mask, cfg, quotient)
             assert np.array_equal(amp, amp[t]), (c, eight)
     assert pairs == (cfg.n_plaq if cfg.periodic else cfg.nx * (cfg.ny - 1))

@@ -159,8 +159,8 @@ def test_neighbor_readers_refuse_degenerate_torus(nx, ny):
     states = np.arange(1 << cfg.n_plaq, dtype=np.int64)
     readers = (lambda: neighbor_chain6((0, 0), cfg), lambda: neighbor_chain8((0, 0), cfg),
                lambda: bonds(cfg), lambda: inversion(cfg),
-               lambda: flip_action(cfg, site_planes(states, cfg), (0, 0), eight=False),
-               lambda: bond_diagonal(site_planes(states, cfg), cfg),
+               lambda: flip_action(cfg, (0, 0), eight=False)[1](site_planes(states, cfg)),
+               lambda: bond_diagonal(cfg)(site_planes(states, cfg)),
                lambda: wilson1_operator(cfg), lambda: pauli_expand((0, 0), cfg), lambda: diagonal_z_terms(cfg))
     for read in readers:
         with pytest.raises(ValueError, match="periodic lattices need nx >= 2 and ny >= 2"):

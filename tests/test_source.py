@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -193,3 +194,54 @@ def test_import_loads_no_unused_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]", out
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    # scipy.sparse is imported at the first sparse matrix, not with hexgauge:
+    # importing the package and its CLI, then running commands that build no
+    # sparse matrix (basis, sectors, a refusal before the build), loads no scipy module
+    code = f"""if True:
+        import json, sys
+        import hexgauge, hexgauge.cli
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        imported = scipy_modules()
+        codes = [hexgauge.cli.main(argv + ["--out", {str(tmp_path / "run")!r}]) for argv in (
+            ["basis", "--nx", "3", "--ny", "3"], ["sectors", "--nx", "3", "--ny", "4"],
+            ["spectrum", "--nx", "4", "--ny", "4", "--bc", "closed"])]
+        print(json.dumps([imported, codes, scipy_modules()]))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, check=True).stdout
+    imported, codes, after = json.loads(out.splitlines()[-1])
+    assert (imported, codes, after) == ([], [0, 0, 2], []), out
+
+
+def test_no_module_level_scipy_import():
+    # scipy is imported inside the functions that use it; at module level
+    # only under `if TYPE_CHECKING:`, which names its types for annotations
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text(), str(path)).body):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported at module level: {found}"
+
+
+def _run_at_import(nodes):
+    """The nodes a module runs when it is imported: all but function bodies
+    and the body of an `if TYPE_CHECKING:`."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        test = getattr(node, "test", None) if isinstance(node, ast.If) else None
+        if (getattr(test, "id", None) or getattr(test, "attr", None)) == "TYPE_CHECKING":
+            yield from _run_at_import(node.orelse)
+            continue
+        yield node
+        yield from _run_at_import(ast.iter_child_nodes(node))
