@@ -13,7 +13,7 @@ if _threads:
 __version__ = "0.1.0"
 
 from .lattice import BoundaryCondition, LatticeConfig, neighbor_chain6, neighbor_chain8
-from .spinbasis import MomentumSector, all_sectors, build_sector, translate
+from .spinbasis import MomentumSector, all_sectors, build_sector
 from .hamiltonian import (
     SparseOperator,
     build_closed,

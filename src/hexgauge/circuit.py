@@ -98,6 +98,15 @@ GATE_ARITY = {"h": 1, "cx": 2, "rz": 1}  # qubits each gate acts on
 # QASM line and its share of the joined text.  tracemalloc measured 98-103
 # under CPython 3.11 on closed 1x3 and 1x11 and periodic 3x4 steps, x200.
 QASM_BYTES_PER_GATE = 104
+# A Trotter step has at most 236 gates per plaquette: 2 Hadamards, at most 32
+# z-string ladders of 2|z| + 1 gates (on a full six-site chain the 32 even
+# strings, 32 + 2*96 = 224 gates), one single-site rz and 3 bond ladders of 3.
+STEP_GATES_PER_PLAQ = 236
+# Peak bytes per gate while emit_trotter_step builds a step: the Gate, its
+# qubit tuple and angle and the parts' list slots.  tracemalloc measured
+# 172-174 under CPython 3.11 on periodic 3x4, 4x4, 6x6 and 30x30 and closed
+# 10x10 and 20x20 steps.
+STEP_BYTES_PER_GATE = 176
 
 
 @dataclass(frozen=True)
@@ -227,7 +236,10 @@ def emit_trotter_step(cfg: LatticeConfig, dt: float) -> Circuit:
     """One first-order Trotter step of exp(-i aH dt) on N qubits: the
     diagonal part followed by the magnetic part.  The physical-to-qasm
     z-sign is absorbed as (-1)^|string| into each rotation angle; global
-    phase constants are dropped."""
+    phase constants are dropped.  Refused before any gate is built when its
+    gate bound prices over the dense budget."""
+    gates = cfg.n_plaq * STEP_GATES_PER_PLAQ
+    require_budget(gates * STEP_BYTES_PER_GATE, f"a Trotter step of up to {gates} gates")
     return Circuit(cfg.n_plaq, emit_diagonal_part(cfg, dt).gates + emit_magnetic_part(cfg, dt).gates)
 
 

@@ -149,6 +149,14 @@ def neighbor_chain8(c: tuple[int, int], cfg: LatticeConfig) -> tuple[int, ...]:
     return chain
 
 
+def translation(cfg: LatticeConfig, rx: int, ry: int) -> tuple[int, ...]:
+    """Site index of the image (i + rx, j + ry) of every plaquette, wrapped:
+    the site table of the translation T(rx, ry)."""
+    if not cfg.periodic:
+        raise ValueError("translation is only defined for periodic BC")
+    return tuple(resolve(cfg, i + rx, j + ry) for i, j in map(cfg.coord, range(cfg.n_plaq)))
+
+
 def inversion(cfg: LatticeConfig) -> tuple[int, ...]:
     """Site index of the image (-i, -j) of every plaquette, wrapped.  It maps
     each chain onto its image's chain rotated by half a turn and every bond

@@ -20,11 +20,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz, site_planes
-from .lattice import LatticeConfig, inversion
+from .lattice import LatticeConfig, inversion, translation
 from .observables import diagonalize
-from .spinbasis import (
-    MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, permute, root_table, translate,
-)
+from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, permute, root_table
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -163,7 +161,7 @@ def momentum_transform(sector: MomentumSector) -> np.ndarray:
     u = np.zeros((1 << (cfg.n_plaq - 1), sector.dim), dtype=complex)
     for ry in range(cfg.ny):
         for rx in range(cfg.nx):
-            t = fold(translate(sector.reps, rx, ry, cfg), cfg)
+            t = fold(permute(sector.reps, translation(cfg, rx, ry)), cfg)
             np.add.at(u, (t, cols), momentum_phase(cfg, sector.nx_q, sector.ny_q, rx, ry))
     return u / np.sqrt(sector.norms)
 

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .lattice import LatticeConfig, require_nondegenerate
+from .lattice import LatticeConfig, require_nondegenerate, translation
 
 # Hard cap so a careless config cannot try to materialize gigabytes of states.
 MAX_BITS = 22
@@ -48,29 +48,19 @@ def fold(states, cfg: LatticeConfig):
     return np.minimum(states, states ^ full_mask(cfg))
 
 
-def translate(s, rx: int, ry: int, cfg: LatticeConfig):
-    """Cyclically shift all plaquette occupations by (rx, ry).
-
-    s is one state (int) or an int64 array of states.  Only meaningful
-    under periodic BC.  The result is not re-canonicalized.
-    """
-    if not cfg.periodic:
-        raise ValueError("translation is only defined for periodic BC")
-    nx, n, full = cfg.nx, cfg.n_plaq, full_mask(cfg)
-    rx, r = rx % nx, nx * (ry % cfg.ny)
-    # a y-shift rotates the word by whole rows; an x-shift rotates each row,
-    # the columns >= nx - rx wrapping round to the low columns lo
-    s = ((s << r) | (s >> (n - r))) & full
-    lo = sum(((1 << rx) - 1) << (nx * j) for j in range(cfg.ny))
-    return ((s << rx) & (full ^ lo)) | ((s >> (nx - rx)) & lo)
-
-
 def permute(states: np.ndarray, perm) -> np.ndarray:
     """Move the bit of site p to site perm[p] in every state of an int64
-    array; perm is a site table such as lattice.inversion."""
-    out = np.zeros_like(states)
+    array; perm is a site table such as lattice.translation or inversion.
+    Sites that move the same distance share one masked shift, so a
+    translation costs at most four."""
+    masks = {}
     for p, q in enumerate(perm):
-        out |= ((states >> p) & 1) << q
+        masks[q - p] = masks.get(q - p, 0) | 1 << p
+    out, moved = np.zeros_like(states), np.empty_like(states)
+    for d, mask in masks.items():
+        np.bitwise_and(states, mask, out=moved)
+        (np.left_shift if d >= 0 else np.right_shift)(moved, abs(d), out=moved)
+        out |= moved
     return out
 
 
@@ -80,10 +70,10 @@ class OrbitTable:
 
     Translations are indexed g = rx + nx*ry (row-major).  reps are the
     numerically smallest canonical states of their orbits, ascending.  For
-    every canonical state s, s equals translate(rep[s], rx, ry) up to a
-    global flip with g = shift[s], the first such g in row-major order.
-    stabilizer[a, g] is True when translate(reps[a], g) is reps[a] up to a
-    global flip.
+    every canonical state s, s equals T(rx, ry) rep[s] up to a global flip
+    with g = shift[s], the first such g in row-major order.
+    stabilizer[a, g] is True when T^g reps[a] is reps[a] up to a global
+    flip.
     """
 
     reps: np.ndarray
@@ -96,21 +86,19 @@ def build_orbit_table(cfg: LatticeConfig) -> OrbitTable:
     if not cfg.periodic:
         raise ValueError("momentum sectors require periodic BC")
     states = state_array(cfg, quotient=True)
+    inverse = [translation(cfg, -(g % cfg.nx), -(g // cfg.nx)) for g in range(cfg.n_plaq)]
     rep = states.copy()
     shift = np.zeros_like(states)
     for g in range(1, cfg.n_plaq):
         # fold(T^-g s) is the representative candidate reached by shift g;
         # strict < keeps the first g that attains the minimum.
-        u = fold(translate(states, -(g % cfg.nx), -(g // cfg.nx), cfg), cfg)
+        u = fold(permute(states, inverse[g]), cfg)
         better = u < rep
         rep[better] = u[better]
         shift[better] = g
     reps = states[rep == states]
-    stabilizer = np.stack(
-        [fold(translate(reps, g % cfg.nx, g // cfg.nx, cfg), cfg) == reps
-         for g in range(cfg.n_plaq)],
-        axis=1,
-    )
+    # the stabilizer is a group: T^g fixes a state exactly when T^-g does
+    stabilizer = np.stack([fold(permute(reps, t), cfg) == reps for t in inverse], axis=1)
     return OrbitTable(reps, rep, shift, stabilizer)
 
 

@@ -32,7 +32,7 @@ def translate_scalar(s: int, rx: int, ry: int, cfg) -> int:
 
 def sweep_orbits(cfg):
     """(reps, to_rep): to_rep[s] = (rep, rx, ry) with s equal to
-    translate(rep, rx, ry) up to a global flip, first (rx, ry) in row-major
+    T(rx, ry) rep up to a global flip, first (rx, ry) in row-major
     order; reps are the smallest canonical states of their orbits."""
     reps, to_rep = [], {}
     for s in range(1 << (cfg.n_plaq - 1)):

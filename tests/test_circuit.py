@@ -20,6 +20,7 @@ from hexgauge.circuit import (
     emit_trotter_step,
     pauli_expand,
     verify_circuit,
+    STEP_GATES_PER_PLAQ,
     VERIFY_MAX_QUBITS,
 )
 from hexgauge.hamiltonian import h_x
@@ -354,6 +355,17 @@ def test_repeated_refuses_over_budget_before_building():
     step = emit_trotter_step(LatticeConfig(1, 3, C, 1.0), 0.05)
     with pytest.raises(ValueError, match="over the 2147483648-byte dense budget"):
         step.repeated(10**12)
+
+
+@pytest.mark.parametrize("nx, ny, bc", [(2, 3, P), (3, 4, P), (4, 4, P), (3, 3, C), (5, 5, C), (1, 11, C)])
+def test_step_within_its_gate_bound(nx, ny, bc):
+    # the per-plaquette gate bound the step is priced with holds; a full
+    # periodic chain has no single-site rz, so it reaches 235
+    cfg = LatticeConfig(nx, ny, bc, 1.0)
+    gates = len(emit_trotter_step(cfg, 0.05).gates)
+    assert gates <= STEP_GATES_PER_PLAQ * cfg.n_plaq
+    if bc is P and min(nx, ny) > 2:
+        assert gates == (STEP_GATES_PER_PLAQ - 1) * cfg.n_plaq
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from hexgauge import cli, oracle, spinbasis
+from hexgauge import circuit, cli, oracle, spinbasis
 from hexgauge.circuit import emit_trotter_step
 from hexgauge.cli import main
 from hexgauge.hamiltonian import SparseOperator, build_hamiltonian, build_periodic, h_plus, h_x
@@ -352,6 +352,19 @@ def test_closed_spectrum_priced_before_build(tmp_path, capsys, monkeypatch, nx, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trotter_step_priced_before_building(tmp_path, capsys, monkeypatch):
+    # a step's gates are priced from the plaquette count and refused before
+    # any Pauli expansion, not found out by the OOM killer
+    monkeypatch.setattr(circuit, "pauli_expand", _no_call("pauli_expand"))
+    start = time.perf_counter()
+    argv = ["emit-circuit", "--nx", "1000", "--ny", "1000", "--bc", "closed", "--dt", "0.05"]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "a Trotter step of up to 236000000 gates" in err and "dense budget" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_refuses_over_cap_before_enumeration(tmp_path, capsys, monkeypatch):
     # the spin side is built first, so basis_dim refuses an over-cap lattice
     # before the gauge enumeration's GF(2) elimination runs
@@ -388,7 +401,8 @@ def _evolve_steps(steps):
     lambda: diagonalize(SparseOperator(scipy.sparse.identity(20000, format="csr"), "identity"), vectors=False),
     lambda: _evolve_steps(10**12),
     lambda: emit_trotter_step(LatticeConfig(1, 3, BoundaryCondition.CLOSED, 1.0), 0.05).repeated(10**12),
-], ids=["diagonalize", "evolve", "repeated"])
+    lambda: emit_trotter_step(LatticeConfig(1000, 1000, BoundaryCondition.CLOSED, 1.0), 0.05),
+], ids=["diagonalize", "evolve", "repeated", "step"])
 def test_one_budget_message(refused):
     # every refusal over the dense budget is observables.require_budget's one message
     message = r"needs about \d+ bytes \(\d+\.\d GiB\), over the 2147483648-byte dense budget$"

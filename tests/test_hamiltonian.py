@@ -7,6 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import c_value, closed_diagonal
+from sector_reference import translate_scalar
 
 from hexgauge import hamiltonian
 from hexgauge.hamiltonian import (
@@ -30,10 +31,11 @@ from hexgauge.lattice import (
     bonds,
     neighbor_chain6,
     neighbor_chain8,
+    translation,
 )
 from hexgauge.observables import wilson1_operator, wilson2_operator
 from hexgauge.oracle import ks_hamiltonian
-from hexgauge.spinbasis import fold, full_mask, state_array, translate
+from hexgauge.spinbasis import fold, full_mask, permute, state_array
 
 P = BoundaryCondition.PERIODIC
 C = BoundaryCondition.CLOSED
@@ -182,14 +184,10 @@ def test_flip_invariance_of_c_vectorized_4x4():
 
 def translation_permutation(cfg: LatticeConfig, rx: int, ry: int, quotient: bool) -> np.ndarray:
     """perm[s] = index of T_x^rx T_y^ry |s> in the chosen basis."""
-    if quotient:
-        states = state_array(cfg, cfg.periodic).tolist()
-        return np.array(
-            [fold(translate(s, rx, ry, cfg), cfg) for s in states], dtype=np.int64
-        )
-    return np.array(
-        [translate(s, rx, ry, cfg) for s in range(1 << cfg.n_plaq)], dtype=np.int64
-    )
+    states = state_array(cfg, quotient)
+    moved = permute(states, translation(cfg, rx, ry))
+    assert moved.tolist() == [translate_scalar(s, rx, ry, cfg) for s in states.tolist()]
+    return fold(moved, cfg) if quotient else moved
 
 
 def test_translation_commutes_exactly():

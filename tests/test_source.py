@@ -187,15 +187,6 @@ def test_nondegenerate_check_where_it_guards():
                        ("spinbasis.py", "build_sector"), ("cli.py", "cmd_basis")}, callers
 
 
-def test_import_loads_no_unused_scipy_module():
-    # eigh_tridiagonal, the MatrixMarket writer and jv are imported where they are used
-    code = ("import sys, hexgauge; "
-            "print(sorted({'scipy.linalg', 'scipy.sparse.linalg', 'scipy.io', 'scipy.special'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]", out
-
-
 def test_light_commands_load_no_scipy(tmp_path):
     # scipy.sparse is imported at the first sparse matrix, not with hexgauge:
     # importing the package and its CLI, then running commands that build no

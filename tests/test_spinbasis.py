@@ -10,7 +10,7 @@ from sector_reference import (
     translate_scalar,
 )
 
-from hexgauge.lattice import BoundaryCondition, LatticeConfig
+from hexgauge.lattice import BoundaryCondition, LatticeConfig, inversion, translation
 from hexgauge.spinbasis import (
     all_sectors,
     build_orbit_table,
@@ -21,7 +21,6 @@ from hexgauge.spinbasis import (
     permute,
     root_table,
     state_array,
-    translate,
 )
 
 P = BoundaryCondition.PERIODIC
@@ -50,25 +49,28 @@ def test_translate_vacuum_invariant():
     cfg = LatticeConfig(3, 3, P, 1.0)
     for rx in range(3):
         for ry in range(3):
-            assert translate(0, rx, ry, cfg) == 0
+            assert permute(np.array([0]), translation(cfg, rx, ry))[0] == 0
 
 
 def test_translate_single_up():
     cfg = LatticeConfig(3, 3, P, 1.0)
-    assert translate(1 << cfg.site(0, 0), 1, 0, cfg) == 1 << cfg.site(1, 0)
-    assert translate(1 << cfg.site(2, 1), 1, 1, cfg) == 1 << cfg.site(0, 2)
+    assert permute(np.array([1 << cfg.site(0, 0)]), translation(cfg, 1, 0))[0] == 1 << cfg.site(1, 0)
+    assert permute(np.array([1 << cfg.site(2, 1)]), translation(cfg, 1, 1))[0] == 1 << cfg.site(0, 2)
 
 
 def test_translate_roundtrip_exhaustive_2x2():
     cfg = LatticeConfig(2, 2, P, 1.0)
-    for s in range(16):
-        assert translate(translate(s, 1, 0, cfg), cfg.nx - 1, 0, cfg) == s
-        assert translate(translate(s, 0, 1, cfg), 0, cfg.ny - 1, cfg) == s
+    s = np.arange(16)
+    assert np.array_equal(permute(permute(s, translation(cfg, 1, 0)), translation(cfg, cfg.nx - 1, 0)), s)
+    assert np.array_equal(permute(permute(s, translation(cfg, 0, 1)), translation(cfg, 0, cfg.ny - 1)), s)
 
 
 def test_translate_requires_periodic():
-    with pytest.raises(ValueError):
-        translate(0, 1, 0, LatticeConfig(2, 2, C, 1.0))
+    # the site table of a translation refuses closed BC and a degenerate torus
+    with pytest.raises(ValueError, match="only defined for periodic BC"):
+        translation(LatticeConfig(2, 2, C, 1.0), 1, 0)
+    with pytest.raises(ValueError, match="nx >= 2 and ny >= 2"):
+        translation(LatticeConfig(1, 3, P, 1.0), 0, 1)
 
 
 def test_canonicalize_examples():
@@ -80,11 +82,12 @@ def test_canonicalize_examples():
 
 def test_canonicalize_idempotent_and_commutes():
     cfg = LatticeConfig(2, 3, P, 1.0)
-    for s in range(1 << 6):
-        c = fold(s, cfg)
-        assert fold(c, cfg) == c
-        for rx, ry in [(1, 0), (0, 1), (1, 2)]:
-            assert fold(translate(c, rx, ry, cfg), cfg) == fold(translate(s, rx, ry, cfg), cfg)
+    s = np.arange(1 << 6)
+    c = fold(s, cfg)
+    assert np.array_equal(fold(c, cfg), c)
+    for rx, ry in [(1, 0), (0, 1), (1, 2)]:
+        t = translation(cfg, rx, ry)
+        assert np.array_equal(fold(permute(c, t), cfg), fold(permute(s, t), cfg))
 
 
 def test_vacuum_norm_2x2():
@@ -126,7 +129,7 @@ def test_reps_pairwise_inequivalent():
         orbit = set()
         for rx in range(cfg.nx):
             for ry in range(cfg.ny):
-                orbit.add(int(fold(translate(rep, rx, ry, cfg), cfg)))
+                orbit.add(int(fold(permute(np.array([rep]), translation(cfg, rx, ry)), cfg)[0]))
         assert not orbit & seen
         seen |= orbit
     assert len(seen) == 1 << (cfg.n_plaq - 1)
@@ -182,8 +185,7 @@ def test_translate_array_matches_scalar(nx, ny):
     for ry in range(ny):
         for rx in range(nx):
             ref = [translate_scalar(s, rx, ry, cfg) for s in states.tolist()]
-            assert translate(states, rx, ry, cfg).tolist() == ref
-            assert [translate(s, rx, ry, cfg) for s in states.tolist()] == ref
+            assert permute(states, translation(cfg, rx, ry)).tolist() == ref
 
 
 @pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
@@ -212,9 +214,14 @@ def test_sectors_match_sweep(nx, ny):
 
 @pytest.mark.parametrize("nx,ny", [(2, 3), (3, 4)])
 def test_permute_moves_bits(nx, ny):
-    # a translation written as a site table permutes as translate does
+    # a translation written as a site table permutes as the scalar
+    # translation does, and inversion as a site-by-site move of each bit
     cfg = LatticeConfig(nx, ny, P, 1.0)
     states = state_array(cfg, False)
     shift = [cfg.site((i + 1) % nx, (j + 2) % ny) for i, j in map(cfg.coord, range(cfg.n_plaq))]
-    assert np.array_equal(permute(states, shift), translate(states, 1, 2, cfg))
+    assert translation(cfg, 1, 2) == tuple(shift)
+    assert permute(states, shift).tolist() == [translate_scalar(s, 1, 2, cfg) for s in states.tolist()]
     assert np.array_equal(permute(states, range(cfg.n_plaq)), states)
+    inv = inversion(cfg)
+    moved = [sum(((s >> p) & 1) << q for p, q in enumerate(inv)) for s in states.tolist()]
+    assert permute(states, inv).tolist() == moved
