@@ -180,10 +180,12 @@ def cmd_verify(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
 
 
 def cmd_wilson(cfg: LatticeConfig, args) -> tuple[int, list[str]]:
+    if not args.blocks and (args.sector or args.sector_prime):
+        raise ValueError("--sector and --sector-prime choose the sectors of --blocks, which was not given")
     if args.blocks:
         # a closed lattice or a bad sector is refused here, before the solve writes anything
-        first = build_sector(cfg, *args.sector)
-        sectors = first, build_sector(cfg, *args.sector_prime, first.orbits)
+        first = build_sector(cfg, *(args.sector or (0, 0)))
+        sectors = first, build_sector(cfg, *(args.sector_prime or (0, 0)), first.orbits)
     op = build_hamiltonian(cfg)
     spec = diagonalize(op, mode="lowest")
     gs = spec.eigenvectors[:, 0]
@@ -264,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("verify", cmd_verify, "certify the spin model against the gauge oracle")
     p = command("wilson", cmd_wilson, "Wilson loop expectations and momentum blocks")
     p.add_argument("--blocks", action="store_true")
-    p.add_argument("--sector", nargs=2, type=int, default=(0, 0), metavar=("NXQ", "NYQ"))
-    p.add_argument("--sector-prime", nargs=2, type=int, default=(0, 0), metavar=("NXQ", "NYQ"))
+    # None unless given: --blocks alone reads (0, 0), and either flag without --blocks is refused
+    p.add_argument("--sector", nargs=2, type=int, metavar=("NXQ", "NYQ"))
+    p.add_argument("--sector-prime", nargs=2, type=int, metavar=("NXQ", "NYQ"))
     p = command("evolve", cmd_evolve, "real-time quench evolution")
     p.add_argument("--t", type=float, default=10.0, help="final time in units of a")
     p.add_argument("--steps", type=int, default=100)

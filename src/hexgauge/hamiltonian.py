@@ -20,12 +20,12 @@ flip_exponent's c; bond_diagonal does the same for the diagonal.  Each
 resolves its chain or bond list once per operator and returns the function
 that reads it over a planes array.  Neither amplitude reads a site its flip
 changes, so each row reads it at its own state, never at the flipped
-column.  A single assembler builds the
-closed-full, periodic-quotient and periodic-full bases ASSEMBLE_CHUNK
-states at a time (chunked_rows): each chunk's entries are written slot by
+column.  One row writer, chunked_rows, builds every flip operator
+ASSEMBLE_CHUNK states at a time: each chunk's entries are written slot by
 slot into contiguous rows, then copied transposed into the CSR row arrays.
-The Wilson operators take the same chunk loop, and the momentum blocks the
-same kernel.
+It takes H on the closed-full, periodic-quotient and periodic-full bases,
+the Wilson operators, and the momentum-sector flip blocks, whose states are
+a sector's representatives.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 SQRT3 = math.sqrt(3.0)
-# States per chunk of chunked_rows, a power of two like every basis size:
-# a chunk's slot buffers (12 bytes per state and slot) stay in cache, and
-# at 2^15 states below the (dim,) temporaries of an unchunked build.
+# States per chunk of chunked_rows, a power of two like every basis size (a
+# sector's last chunk is partial): a chunk's slot buffers (12 or 20 bytes
+# per state and slot) stay in cache, below an unchunked build's temporaries.
 ASSEMBLE_CHUNK = 1 << 12
 
 
@@ -98,9 +98,6 @@ class SparseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def export_mtx(self, path: str):
         """MatrixMarket coordinate export: symmetric real, or Hermitian
@@ -252,22 +249,21 @@ def _require_periodic(cfg: LatticeConfig):
     require_nondegenerate(cfg)
 
 
-def chunked_rows(cfg: LatticeConfig, quotient: bool, m: int, write) -> scipy.sparse.csr_matrix:
-    """rows_csr over the basis states 0 .. dim-1 with m entries per row,
-    built ASSEMBLE_CHUNK states at a time: write(states, planes, cols, vals)
-    fills one chunk's (m, chunk) slot-major buffers, each slot a contiguous
-    row, which are then copied transposed into the (dim, m) row arrays."""
-    dim = basis_dim(cfg, quotient)
-    size = min(dim, ASSEMBLE_CHUNK)  # both powers of two: every chunk is full
-    cols, vals = np.empty((dim, m), dtype=np.int32), np.empty((dim, m))
-    chunk_cols, chunk_vals = np.empty((m, size), dtype=np.int32), np.empty((m, size))
+def chunked_rows(cfg: LatticeConfig, states, m: int, write, n_cols=None, dtype=float) -> scipy.sparse.csr_matrix:
+    """rows_csr (n_cols columns, square by default) over an ascending state
+    array, m entries per row, ASSEMBLE_CHUNK states at a time: write(lo,
+    chunk, planes, cols, vals) fills the slot-major (m, len(chunk)) buffers
+    of chunk = states[lo:...], copied transposed into the row arrays."""
+    dim = len(states)
+    size = min(dim, ASSEMBLE_CHUNK)
+    cols, vals = np.empty((dim, m), dtype=np.int32), np.empty((dim, m), dtype=dtype)
+    chunk_cols, chunk_vals = np.empty((m, size), dtype=np.int32), np.empty((m, size), dtype=dtype)
     for lo in range(0, dim, size):
-        # int32 like the columns: every basis index fits
-        states = np.arange(lo, lo + size, dtype=np.int32)
-        write(states, site_planes(states, cfg), chunk_cols, chunk_vals)
-        cols[lo:lo + size] = chunk_cols.T
-        vals[lo:lo + size] = chunk_vals.T
-    return SparseOperator.rows_csr(cols, vals)
+        chunk = states[lo:lo + size]
+        c, v = chunk_cols[:, :len(chunk)], chunk_vals[:, :len(chunk)]  # the last chunk may be partial
+        write(lo, chunk, site_planes(chunk, cfg), c, v)
+        cols[lo:lo + size], vals[lo:lo + size] = c.T, v.T
+    return SparseOperator.rows_csr(cols, vals, n_cols)
 
 
 def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
@@ -277,17 +273,17 @@ def _assemble(cfg: LatticeConfig, quotient: bool) -> SparseOperator:
     the entry at t = flip_p(s), the column the involution flip_p maps onto
     row s: -h_x times O_1(p)'s amplitude, which reads the same at s as at t.
     """
-    basis_dim(cfg, quotient)  # refuses a lattice over the cap before its chains are resolved
+    states = np.arange(basis_dim(cfg, quotient), dtype=np.int32)  # basis_dim refuses an over-cap lattice first
     diag_scale = j_zz(cfg.lam) if cfg.periodic else 1.0
     flip_scale = -h_x(cfg.lam)
     diagonal = bond_diagonal(cfg)
     flips = [flip_action(cfg, cfg.coord(p), eight=False) for p in range(cfg.n_plaq)]
 
-    def write(states, planes, cols, vals):
+    def write(lo, states, planes, cols, vals):
         cols[0] = states
         np.multiply(diagonal(planes), diag_scale, out=vals[0])
         for p, (mask, amplitude) in enumerate(flips, 1):
             cols[p] = flipped(states, mask, cfg, quotient)
             np.multiply(amplitude(planes), flip_scale, out=vals[p])
 
-    return SparseOperator(chunked_rows(cfg, quotient, cfg.n_plaq + 1, write), basis_label(cfg, quotient))
+    return SparseOperator(chunked_rows(cfg, states, cfg.n_plaq + 1, write), basis_label(cfg, quotient))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hamiltonian import SparseOperator, basis_label, bond_diagonal, flip_action, h_x, j_zz, site_planes
+from .hamiltonian import SparseOperator, basis_label, bond_diagonal, chunked_rows, flip_action, h_x, j_zz, site_planes
 from .lattice import LatticeConfig, inversion, translation
 from .observables import diagonalize
 from .spinbasis import MomentumSector, all_sectors, fold, momentum_numerator, momentum_phase, permute, root_table
@@ -117,10 +117,9 @@ def wilson2_block(sector: MomentumSector, sector_p: MomentumSector) -> scipy.spa
     return _flip_block(sector, sector_p, eight=True, denom=sector.cfg.n_plaq)
 
 
-def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
-                denom: int) -> scipy.sparse.csr_matrix:
-    """The one flip pass of the sector blocks, one translation r at a time:
-    entry (a, r) of a (dim, n_plaq) pattern is flip_action at plaquette -r on
+def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool, denom: int) -> scipy.sparse.csr_matrix:
+    """The one flip pass of the sector blocks, through chunked_rows: entry
+    (a, r) of a (dim, n_plaq) pattern is flip_action at plaquette -r on
     reps[a], moved to sector_p's representative b with phase exp(i phi) and
     weight sqrt(N_b/N_a)/denom, or 0 where b vanishes in sector_p.  Row a of
     the pattern is column a of the block, stored real (float64) when every
@@ -134,15 +133,16 @@ def _flip_block(sector: MomentumSector, sector_p: MomentumSector, eight: bool,
     phases = root_table(n)[((nkp - nk)[:, None] + nkp) % n]
     if not phases.imag.any():
         phases = phases.real
-    rows = np.empty((sector.dim, n), dtype=np.int32)
-    vals = np.empty((sector.dim, n), dtype=phases.dtype)
-    planes = site_planes(sector.reps, cfg)
-    for r in range(n):
-        mask, amplitude = flip_action(cfg, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight)
-        rows[:, r], hit, nb, shift = _targets(sector_p, sector.reps ^ mask)
-        vals[:, r] = np.where(hit, np.sqrt(nb / sector.norms) / denom * phases[r, shift] * amplitude(planes), 0.0)
+    flips = [flip_action(cfg, ((-r) % cfg.nx, (-(r // cfg.nx)) % cfg.ny), eight) for r in range(n)]
+
+    def write(lo, reps, planes, cols, vals):
+        norms = sector.norms[lo:lo + len(reps)]
+        for r, (mask, amplitude) in enumerate(flips):
+            cols[r], hit, nb, shift = _targets(sector_p, reps ^ mask)
+            vals[r] = np.where(hit, np.sqrt(nb / norms) / denom * phases[r, shift] * amplitude(planes), 0.0)
+
     # two translations may land on one representative: sum them, drop the zeros, then transpose
-    pattern = SparseOperator.rows_csr(rows, vals, sector_p.dim)
+    pattern = chunked_rows(cfg, sector.reps, n, write, sector_p.dim, phases.dtype)
     pattern.sum_duplicates()
     pattern.eliminate_zeros()
     return pattern.T.tocsr()

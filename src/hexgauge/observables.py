@@ -61,9 +61,6 @@ class StateVector:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def overlap(self, other: "StateVector") -> complex:
         self._check(other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -88,15 +85,12 @@ def basis_state(cfg: LatticeConfig, s: int) -> StateVector:
 @dataclass
 class Spectrum:
     """Ascending eigenvalues, the eigenvectors as columns when kept, and
-    residual, the max ||H v - E v|| over those vectors (None without them)."""
+    residual, the max ||H v - E v|| over the vectors the solve computed:
+    None for a dense solve without vectors, whose LAPACK call returns none."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def check_residuals(self, op: SparseOperator) -> float:
         """max ||H v - E v|| over retained unit eigenvectors, taken 128 at a
@@ -147,7 +141,7 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
         # in one symmetry sector and hides the others.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
         val, vec = _lowest_pair(op.matrix, v0)
-        vals, vecs = np.array([val]), vec[:, None] if vectors else None
+        vals, vecs = np.array([val]), vec[:, None]  # checked below, then dropped without vectors
     else:
         raise ValueError(f"unknown mode {mode!r}")
     spec = Spectrum(np.asarray(vals, float), vecs)
@@ -156,6 +150,8 @@ def diagonalize(op: SparseOperator, mode: str = "full", vectors: bool = True) ->
         scale = max(1.0, float(np.max(np.abs(vals))))
         if spec.residual > RESIDUAL_TOL * scale:
             raise RuntimeError(f"eigen residual {spec.residual:.3e} exceeds tolerance")
+    if not vectors:
+        spec.eigenvectors = None
     return spec
 
 
@@ -252,11 +248,11 @@ def _wilson_operator(cfg: LatticeConfig, c: tuple[int, int], eight: bool) -> sci
     maps onto s; the amplitude reads the same at s as at t."""
     mask, amplitude = flip_action(cfg, c, eight)
 
-    def write(states, planes, cols, vals):
+    def write(lo, states, planes, cols, vals):
         cols[0] = flipped(states, mask, cfg, cfg.periodic)
         vals[0] = amplitude(planes)
 
-    return chunked_rows(cfg, cfg.periodic, 1, write)
+    return chunked_rows(cfg, np.arange(basis_dim(cfg, cfg.periodic), dtype=np.int32), 1, write)
 
 
 def wilson1_operator(cfg: LatticeConfig, c: tuple[int, int] = (0, 0)) -> scipy.sparse.csr_matrix:

@@ -23,12 +23,15 @@ MAX_BITS = 22
 
 def basis_dim(cfg: LatticeConfig, quotient: bool) -> int:
     """Size of the flip-quotient basis (quotient=True) or of all 2^N states,
-    refusing a lattice over the enumeration cap before anything is built."""
+    refusing a lattice over the enumeration cap before anything is built,
+    and the quotient of a closed lattice, whose outside spins are fixed down."""
     if cfg.n_plaq > MAX_BITS:
         raise ValueError(
             f"{cfg.nx}x{cfg.ny} lattice has {cfg.n_plaq} plaquettes; "
             f"enumeration is capped at {MAX_BITS}"
         )
+    if quotient and not cfg.periodic:
+        raise ValueError("the global-flip quotient needs periodic BC: closed BC fixes the outside spins down")
     return 1 << (cfg.n_plaq - quotient)
 
 

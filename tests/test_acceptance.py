@@ -161,10 +161,10 @@ def test_criterion_6_sector_completeness():
     worst = 0.0
     for nx, ny in [(2, 2), (2, 3), (3, 3)]:
         cfg = LatticeConfig(nx, ny, P, 1.0)
-        full = np.sort(np.linalg.eigvalsh(build_periodic(cfg).to_dense()))
+        full = np.sort(np.linalg.eigvalsh(build_periodic(cfg).matrix.toarray()))
         parts = np.sort(
             np.concatenate(
-                [np.linalg.eigvalsh(hamiltonian_block(s).to_dense()) for s in all_sectors(cfg)]
+                [np.linalg.eigvalsh(hamiltonian_block(s).matrix.toarray()) for s in all_sectors(cfg)]
             )
         )
         assert parts.shape == full.shape
@@ -208,7 +208,7 @@ def test_criterion_9_evolution_sanity():
     psi0 = basis_state(cfg, 0)
     e0 = expectation(op.matrix, psi0).real
     out = evolve(op, psi0, 50.0)
-    norm_drift = abs(out.norm() - 1.0)
+    norm_drift = abs(np.linalg.norm(out.amplitudes) - 1.0)
     energy_drift = abs(expectation(op.matrix, out).real - e0) / max(1.0, abs(e0))
     ok = norm_drift < 1e-10 and energy_drift < 1e-8
     _report(9, ok, f"t=50 on 3x3: norm drift {norm_drift:.2e} < 1e-10, energy drift {energy_drift:.2e} < 1e-8")

@@ -46,7 +46,7 @@ def test_spectrum_sectors_vs_full(tmp_path):
     # the dense spectrum of the real-space quotient Hamiltonian
     for nx, ny in [(2, 2), (2, 3), (3, 3), (3, 4)]:
         cfg = LatticeConfig(nx, ny, BoundaryCondition.PERIODIC, 1.0)
-        dense = np.linalg.eigvalsh(build_periodic(cfg).to_dense())
+        dense = np.linalg.eigvalsh(build_periodic(cfg).matrix.toarray())
         full_out, sect_out = str(tmp_path / f"full{nx}{ny}"), str(tmp_path / f"sect{nx}{ny}")
         assert main(["spectrum", "--nx", str(nx), "--ny", str(ny), "--out", full_out]) == 0
         assert main(["spectrum", "--nx", str(nx), "--ny", str(ny), "--sectors", "--out", sect_out]) == 0
@@ -178,7 +178,7 @@ def test_wilson_blocks(tmp_path, monkeypatch):
 
 def test_one_parser_per_process_keeps_calls_apart(tmp_path, monkeypatch):
     # main reuses one parser; a call with --sector and one without each see
-    # their own sectors, the default being an immutable (0, 0)
+    # their own sectors, the default being None, read as (0, 0) by --blocks
     seen, build = [], spinbasis.build_sector
 
     def recorded(cfg, nx_q, ny_q, orbits=None):
@@ -192,7 +192,18 @@ def test_one_parser_per_process_keeps_calls_apart(tmp_path, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "c")]) == 0
     assert seen == [(1, 2), (0, 0), (0, 0), (2, 0), (0, 0), (0, 0)]
     assert cli.build_parser() is cli.build_parser()
-    assert cli.build_parser().parse_args(["wilson"]).sector == (0, 0)
+    assert cli.build_parser().parse_args(["wilson"]).sector is None
+
+
+@pytest.mark.parametrize("flag", ["--sector", "--sector-prime"])
+def test_wilson_sector_without_blocks_refused(tmp_path, capsys, monkeypatch, flag):
+    # a sector names a --blocks pair; without --blocks it would be silently
+    # ignored, so it is refused before H is built: exit 2, one line, no file
+    monkeypatch.setattr(cli, "build_hamiltonian", lambda cfg: pytest.fail("H built before the refusal"))
+    assert main(["wilson", "--nx", "3", "--ny", "4", flag, "1", "0", "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hexgauge wilson: error: --sector and --sector-prime") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

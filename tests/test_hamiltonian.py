@@ -86,7 +86,7 @@ def test_magnetic_coefficient_values():
 def test_1x1_closed_matrix():
     lam = 1.0
     cfg = LatticeConfig(1, 1, C, lam)
-    h = build_closed(cfg).to_dense()
+    h = build_closed(cfg).matrix.toarray()
     expect = np.array([[0.0, h_x(lam)], [h_x(lam), h_plus(lam)]])
     assert np.max(np.abs(h - expect)) < 1e-15
 
@@ -217,8 +217,8 @@ def test_translation_commutes_full_space():
 def test_coefficient_scaling_linearity():
     cfg1 = LatticeConfig(2, 2, P, 1.0)
     cfg2 = LatticeConfig(2, 2, P, 2.0)
-    h1 = build_periodic(cfg1).to_dense()
-    h2 = build_periodic(cfg2).to_dense()
+    h1 = build_periodic(cfg1).matrix.toarray()
+    h2 = build_periodic(cfg2).matrix.toarray()
     d1, d2 = np.diag(np.diag(h1)), np.diag(np.diag(h2))
     # diagonal scales with lam, off-diagonal with 1/lam
     assert np.max(np.abs(d2 - 2.0 * d1)) < 1e-12
@@ -235,8 +235,8 @@ def test_degenerate_periodic_rejected():
 def test_quotient_matches_full_flip_even_sector():
     # the quotient Hamiltonian is the flip-even block of the full operator
     cfg = LatticeConfig(2, 2, P, 1.0)
-    quot = build_periodic(cfg).to_dense()
-    full = build_periodic_full(cfg).to_dense()
+    quot = build_periodic(cfg).matrix.toarray()
+    full = build_periodic_full(cfg).matrix.toarray()
     n = cfg.n_plaq
     dim = 1 << (n - 1)
     iso = np.zeros((1 << n, dim))

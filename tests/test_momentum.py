@@ -11,6 +11,7 @@ from sector_reference import PERIODIC_UP_TO_12, flip_shift, sweep_orbits
 from sector_reference import hx_block as ref_hx_block
 from sector_reference import wilson_block as ref_wilson_block
 
+from hexgauge import hamiltonian
 from hexgauge.hamiltonian import build_periodic, h_x, j_zz
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, neighbor_chain6
 from hexgauge.lattice import inversion
@@ -38,7 +39,7 @@ def self_conjugate(sector):
 def test_hzz_vacuum():
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 0, 0)
-    hzz = hzz_block(sector).to_dense()
+    hzz = hzz_block(sector).matrix.toarray()
     vac = sector.reps.tolist().index(0)
     assert hzz[vac, vac] == 27
     assert np.count_nonzero(hzz - np.diag(np.diag(hzz))) == 0
@@ -50,16 +51,16 @@ def test_hzz_single_up():
         if 1 not in sector.reps:  # the single-up orbit representative
             continue
         row = sector.reps.tolist().index(1)
-        hzz = hzz_block(sector).to_dense()
+        hzz = hzz_block(sector).matrix.toarray()
         assert hzz[row, row] == 27 - 12 == 15
 
 
 def test_hzz_independent_of_k():
     cfg = LatticeConfig(2, 3, P, 1.0)
     sectors = all_sectors(cfg)
-    base = {r: hzz_block(sectors[0]).to_dense()[i, i] for i, r in enumerate(sectors[0].reps.tolist())}
+    base = {r: hzz_block(sectors[0]).matrix.toarray()[i, i] for i, r in enumerate(sectors[0].reps.tolist())}
     for sector in sectors[1:]:
-        hzz = hzz_block(sector).to_dense()
+        hzz = hzz_block(sector).matrix.toarray()
         for i, rep in enumerate(sector.reps.tolist()):
             assert hzz[i, i] == base[rep]
 
@@ -69,21 +70,21 @@ def test_blocks_hermitian(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
     for sector in all_sectors(cfg):
         for block in (hx_block(sector), hamiltonian_block(sector)):
-            m = block.to_dense()
+            m = block.matrix.toarray()
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
 
 def test_hx_k0_real():
     for nx, ny in [(2, 2), (3, 3)]:
         cfg = LatticeConfig(nx, ny, P, 1.0)
-        m = hx_block(build_sector(cfg, 0, 0)).to_dense()
+        m = hx_block(build_sector(cfg, 0, 0)).matrix.toarray()
         assert np.max(np.abs(m.imag)) < 1e-12
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3), (3, 3), (3, 4)])
 def test_sector_spectra_complete(nx, ny):
     cfg = LatticeConfig(nx, ny, P, 1.0)
-    full = np.sort(np.linalg.eigvalsh(build_periodic(cfg).to_dense()))
+    full = np.sort(np.linalg.eigvalsh(build_periodic(cfg).matrix.toarray()))
     parts = np.sort(np.concatenate([vals for _, _, vals in sector_spectra(cfg)]))
     assert parts.shape == full.shape
     assert np.max(np.abs(parts - full)) < 1e-8
@@ -99,7 +100,7 @@ def test_sector_spectra_share_pm_k_pairs(nx, ny):
         sector, partner = sectors[qx, qy], sectors[(-qx) % nx, (-qy) % ny]
         assert np.array_equal(sector.reps, partner.reps)
         assert np.array_equal(sector.norms, partner.norms)
-        own = np.linalg.eigvalsh(hamiltonian_block(sector).to_dense())
+        own = np.linalg.eigvalsh(hamiltonian_block(sector).matrix.toarray())
         assert np.max(np.abs(vals - own)) < 1e-12
 
 
@@ -107,7 +108,7 @@ def test_hx_vacuum_row_coherent_sum():
     # vacuum -> single-flip at k=0 has magnitude sqrt(N)
     cfg = LatticeConfig(3, 3, P, 1.0)
     sector = build_sector(cfg, 0, 0)
-    m = hx_block(sector).to_dense()
+    m = hx_block(sector).matrix.toarray()
     vac, single = sector.reps.tolist().index(0), sector.reps.tolist().index(1)
     assert abs(m[single, vac]) == pytest.approx(math.sqrt(9), abs=1e-12)
 
@@ -116,11 +117,11 @@ def test_momentum_hamiltonian_vs_conjugation():
     # independent check: conjugate the real-space quotient Hamiltonian into
     # each momentum basis and compare blockwise
     cfg = LatticeConfig(2, 3, P, 1.0)
-    h = build_periodic(cfg).to_dense()
+    h = build_periodic(cfg).matrix.toarray()
     for sector in all_sectors(cfg):
         u = momentum_transform(sector)
         ref = u.conj().T @ h @ u
-        blk = hamiltonian_block(sector).to_dense()
+        blk = hamiltonian_block(sector).matrix.toarray()
         assert np.max(np.abs(ref - blk)) < 1e-10
 
 
@@ -226,7 +227,7 @@ def test_phases_match_naive_floats():
     _, to_rep = sweep_orbits(cfg)
     kx = 2 * math.pi * sector.nx_q / cfg.nx
     ky = 2 * math.pi * sector.ny_q / cfg.ny
-    m = hx_block(sector).to_dense()
+    m = hx_block(sector).matrix.toarray()
     naive = np.zeros_like(m)
     for col, a in enumerate(sector.reps.tolist()):
         for p in range(cfg.n_plaq):
@@ -241,6 +242,33 @@ def test_phases_match_naive_floats():
     assert np.max(np.abs(naive - m)) < 1e-12
 
 
+@pytest.mark.parametrize("nx,ny,k,k_prime", [
+    (3, 4, (0, 0), (0, 0)), (3, 4, (1, 1), (1, 1)), (3, 4, (0, 0), (1, 0)),
+    (3, 5, (0, 0), (0, 0)), (3, 5, (1, 2), (2, 1)),
+])
+def test_flip_blocks_match_scalar_loops_across_chunks(monkeypatch, nx, ny, k, k_prime):
+    # 16-representative chunks split each block into 11 to 69 chunks, the
+    # last one partial (no dimension here is a multiple of 16); the blocks
+    # equal their one-chunk builds exactly and the scalar loops entry for entry
+    cfg = LatticeConfig(nx, ny, P, 0.8)
+    _, to_rep = sweep_orbits(cfg)
+    sa = build_sector(cfg, *k)
+    sb = build_sector(cfg, *k_prime, sa.orbits)
+    assert sa.dim % 16 and sa.dim <= hamiltonian.ASSEMBLE_CHUNK
+
+    def blocks():
+        return hx_block(sa).matrix, wilson1_block(sa, sb), wilson2_block(sa, sb)
+
+    whole = blocks()
+    monkeypatch.setattr(hamiltonian, "ASSEMBLE_CHUNK", 16)
+    refs = ref_hx_block(sa, to_rep), ref_wilson_block(sa, sb, to_rep, False), ref_wilson_block(sa, sb, to_rep, True)
+    for got, one, ref in zip(blocks(), whole, refs):
+        assert np.array_equal(got.indptr, one.indptr)
+        assert np.array_equal(got.indices, one.indices)
+        assert np.array_equal(got.data, one.data) and got.dtype == one.dtype
+        assert np.max(np.abs(got.toarray() - ref)) < 1e-13
+
+
 @pytest.mark.parametrize("nx,ny", PERIODIC_UP_TO_12)
 def test_blocks_match_scalar_loops(nx, ny):
     # every sector pair up to 9 plaquettes, the k=0 pair beyond
@@ -248,7 +276,7 @@ def test_blocks_match_scalar_loops(nx, ny):
     _, to_rep = sweep_orbits(cfg)
     sectors = all_sectors(cfg) if cfg.n_plaq <= 9 else [build_sector(cfg, 0, 0)]
     for sa in sectors:
-        assert np.max(np.abs(hx_block(sa).to_dense() - ref_hx_block(sa, to_rep))) < 1e-13
+        assert np.max(np.abs(hx_block(sa).matrix.toarray() - ref_hx_block(sa, to_rep))) < 1e-13
         for sb in sectors:
             for eight, block in ((False, wilson1_block), (True, wilson2_block)):
                 if eight and ny == 2:
@@ -268,10 +296,10 @@ def test_k0_hamiltonian_block_real(nx, ny):
     for block in (hamiltonian_block(sector).matrix, hx_block(sector).matrix,
                   wilson1_block(sector, sector), wilson2_block(sector, sector)):
         assert scipy.sparse.issparse(block) and block.dtype == np.float64
-    real = hamiltonian_block(sector).to_dense()
+    real = hamiltonian_block(sector).matrix.toarray()
     lam = cfg.lam
     # the scalar reference keeps every phase complex
-    full = j_zz(lam) * hzz_block(sector).to_dense() + h_x(lam) * ref_hx_block(sector, sweep_orbits(cfg)[1])
+    full = j_zz(lam) * hzz_block(sector).matrix.toarray() + h_x(lam) * ref_hx_block(sector, sweep_orbits(cfg)[1])
     assert full.dtype == np.complex128
     assert np.max(np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(full))) < 1e-10
 
@@ -305,7 +333,7 @@ def test_complex_block_mtx_roundtrip(tmp_path):
     path = tmp_path / "h.mtx"
     block.export_mtx(str(path))
     assert "complex hermitian" in path.read_text().splitlines()[0]
-    back, dense = scipy.io.mmread(str(path)).toarray(), block.to_dense()
+    back, dense = scipy.io.mmread(str(path)).toarray(), block.matrix.toarray()
     # the lower triangle is stored exactly; the upper is its conjugate, and
     # the block is Hermitian to rounding
     assert np.array_equal(np.tril(back), np.tril(dense))
@@ -330,7 +358,7 @@ def test_inversion_blocks_solve_every_sector(nx, ny, lam):
     for sector in sectors:
         op = hamiltonian_block(sector)
         spec = diagonalize(op, "full")
-        ref = np.linalg.eigvalsh(op.to_dense())
+        ref = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
         v = spec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(sector.dim))) < 1e-12
@@ -382,7 +410,7 @@ def test_inversion_empty_odd_block(nx, ny):
     assert [q.shape[1] for q in op.blocks] == [op.dim, 0]
     spec = diagonalize(op, "full")
     assert spec.eigenvectors.shape == (op.dim, op.dim)
-    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(op.to_dense()), rtol=0, atol=1e-12)
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(op.matrix.toarray()), rtol=0, atol=1e-12)
 
 
 def test_inversion_splits_3x5_vacuum_block():

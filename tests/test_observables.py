@@ -52,14 +52,28 @@ def test_diagonalize_residuals():
     spec = diagonalize(op)
     assert spec.check_residuals(op) < 1e-8
     assert np.all(np.diff(spec.eigenvalues) >= 0)
-    # the residual the solve checked is kept, in both modes, and only with vectors
+    # the residual the solve checked is kept, in both modes; the lowest mode
+    # checks its vector even when it does not keep it
     assert spec.residual == spec.check_residuals(op)
     low = diagonalize(op, mode="lowest")
     assert low.eigenvalues.shape == (1,) and low.eigenvectors.shape == (op.dim, 1)
     assert low.residual == low.check_residuals(op) < 1e-8
     assert diagonalize(op, vectors=False).residual is None
     quiet = diagonalize(op, mode="lowest", vectors=False)
-    assert quiet.eigenvectors is None and quiet.residual is None
+    assert quiet.eigenvectors is None and quiet.residual == low.residual
+    assert quiet.eigenvalues[0] == low.eigenvalues[0]
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_lowest_mode_refuses_an_unchecked_pair(monkeypatch, vectors):
+    # a wrong pair from the iterative solve is refused whether or not the
+    # caller keeps the vector: the residual is checked before it is dropped
+    op = build_periodic(LatticeConfig(2, 3, P, 1.0))
+    wrong = np.zeros(op.dim)
+    wrong[0] = 1.0
+    monkeypatch.setattr(observables, "_lowest_pair", lambda h, v0: (-1.0, wrong))
+    with pytest.raises(RuntimeError, match="eigen residual .* exceeds tolerance"):
+        diagonalize(op, mode="lowest", vectors=vectors)
 
 
 def test_lowest_mode_matches_full():
@@ -73,7 +87,7 @@ def test_lowest_mode_matches_full():
         for op in ops:
             low = diagonalize(op, mode="lowest").eigenvalues
             assert low.shape == (1,)
-            assert abs(low[0] - np.linalg.eigvalsh(op.to_dense())[0]) < 1e-10, (op.label, lam)
+            assert abs(low[0] - np.linalg.eigvalsh(op.matrix.toarray())[0]) < 1e-10, (op.label, lam)
 
 
 class _CountingOperator:
@@ -110,7 +124,7 @@ def test_lowest_mode_restarts_until_converged(monkeypatch):
     counted = _CountingOperator(op.matrix)
     low = diagonalize(SparseOperator(counted, op.label), mode="lowest").eigenvalues[0]
     assert counted.products > 17
-    assert abs(low - np.linalg.eigvalsh(op.to_dense())[0]) < 1e-12
+    assert abs(low - np.linalg.eigvalsh(op.matrix.toarray())[0]) < 1e-12
     monkeypatch.setattr(observables, "LOWEST_MAX_CYCLES", 1)
     with pytest.raises(RuntimeError, match="eigensolver did not converge"):
         diagonalize(op, mode="lowest")
@@ -163,7 +177,7 @@ def test_basis_state_capped():
 def test_periodic_2x2_spectrum_size():
     cfg = LatticeConfig(2, 2, P, 1.0)
     spec = diagonalize(build_periodic(cfg), vectors=False)
-    assert spec.dim == 8  # flip-quotient dimension
+    assert len(spec.eigenvalues) == 8  # flip-quotient dimension
 
 
 def test_wilson1_apply_vacuum():
@@ -232,7 +246,7 @@ def test_wilson_expectation_real_in_eigenstates():
     op = build_periodic(cfg)
     spec = diagonalize(op)
     o1 = wilson1_operator(cfg, (0, 0))
-    for k in range(0, spec.dim, 7):
+    for k in range(0, len(spec.eigenvalues), 7):
         v = StateVector(spec.eigenvectors[:, k], "x")
         val = complex(np.vdot(v.amplitudes, o1 @ v.amplitudes))
         assert abs(val.imag) < 1e-10
@@ -291,7 +305,7 @@ def test_evolve_matches_expm_oracle():
     op = build_periodic(cfg)
     psi0 = basis_state(cfg, 0)
     t = 2.3
-    ref = scipy.linalg.expm(-1j * op.to_dense() * t) @ psi0.amplitudes
+    ref = scipy.linalg.expm(-1j * op.matrix.toarray() * t) @ psi0.amplitudes
     out = evolve(op, psi0, t)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
@@ -301,7 +315,7 @@ def test_vacuum_quench_o1_series_vs_expm():
     op = build_periodic(cfg)
     o1 = wilson1_operator(cfg, (0, 0))
     psi0 = basis_state(cfg, 0)
-    dense = op.to_dense()
+    dense = op.matrix.toarray()
     for t, psi in trajectory(op, psi0, [0.0, 0.5, 0.5, 1.0, 2.0, 1.2]):
         ref = scipy.linalg.expm(-1j * dense * t) @ psi0.amplitudes
         v_ref = np.vdot(ref, o1 @ ref)
@@ -340,7 +354,7 @@ def test_evolution_needs_no_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     cfg = LatticeConfig(3, 3, P, 1.0)
     out = evolve(build_periodic(cfg), basis_state(cfg, 0), 2.0)
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
     for bc in (P, C):
         cfg = LatticeConfig(2, 2, bc, 1.0)
         assert 0.0 < verify_circuit(emit_trotter_step(cfg, 0.05), cfg, 0.05) < 0.05
@@ -352,7 +366,7 @@ def test_evolve_norm_and_energy_drift():
     psi0 = basis_state(cfg, 0)
     e0 = expectation(op.matrix, psi0).real
     out = evolve(op, psi0, 25.0)
-    assert abs(out.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
     assert abs(expectation(op.matrix, out).real - e0) < 1e-8 * max(1.0, abs(e0))
 
 
@@ -366,7 +380,7 @@ def test_evolve_sector_blocks_match_expm(k, complex_block):
     rng = np.random.default_rng(5)
     block = rng.normal(size=(op.dim, 4)) + 1j * rng.normal(size=(op.dim, 4))
     for t in (0.03, -1.7, 40.0):
-        ref = scipy.linalg.expm(-1j * t * op.to_dense()) @ block
+        ref = scipy.linalg.expm(-1j * t * op.matrix.toarray()) @ block
         out = evolve(op, StateVector(block, op.label), t).amplitudes
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -389,7 +403,7 @@ def test_evolve_fortran_ordered_block():
     block = np.asfortranarray(rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3)))
     given = block.copy()
     out = evolve(op, StateVector(block, op.label), 1.3).amplitudes
-    ref = scipy.linalg.expm(-1.3j * op.to_dense()) @ given
+    ref = scipy.linalg.expm(-1.3j * op.matrix.toarray()) @ given
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(block, given)
 
@@ -443,7 +457,7 @@ WINDOW_TIMES = np.concatenate([[0.0, 0.1, -0.1, 0.25, 0.25], np.linspace(0.4, 4.
                          ids=["closed-2x3-real", "periodic-3x4-k11-complex"])
 def test_windowed_series_matches_expm(make):
     op = make()
-    dense = op.to_dense()
+    dense = op.matrix.toarray()
     e = np.linalg.eigvalsh(dense)
     # H's Gershgorin half-width is at least half its spectral width: the
     # grid spans several windows
@@ -553,7 +567,7 @@ def test_full_mode_checks_its_blocks():
         diagonalize(herm, vectors=False)
     # the same matrices with blocks that fit them
     coupled.blocks = [scipy.sparse.csc_matrix(np.eye(2))]
-    assert np.allclose(diagonalize(coupled).eigenvalues, np.linalg.eigvalsh(coupled.to_dense()))
+    assert np.allclose(diagonalize(coupled).eigenvalues, np.linalg.eigvalsh(coupled.matrix.toarray()))
     r = np.sqrt(0.5)
     herm.blocks = [scipy.sparse.csc_matrix(np.array([[r, 1j * r], [1j * r, r]]))]
     spec = diagonalize(herm)
@@ -638,7 +652,7 @@ def test_blocked_solve_priced_by_its_largest_block(monkeypatch, k):
     assert largest < whole
     monkeypatch.setattr(observables, "DENSE_MAX_BYTES", (largest + whole) // 2)
     vals = diagonalize(op, vectors=False).eigenvalues
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(op.to_dense()))) < 1e-12
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(op.matrix.toarray()))) < 1e-12
     monkeypatch.setattr(observables, "DENSE_MAX_BYTES", largest - 1)
     with pytest.raises(ValueError, match="a block of dimension .* dense budget"):
         diagonalize(op, vectors=False)

@@ -7,7 +7,7 @@ import scipy.sparse
 
 import hexgauge.hamiltonian as hamiltonian
 
-from hexgauge.hamiltonian import SparseOperator, h_plus, h_x
+from hexgauge.hamiltonian import h_plus, h_x
 from hexgauge.lattice import BoundaryCondition, LatticeConfig
 from hexgauge.oracle import (
     build_geometry,
@@ -293,7 +293,8 @@ def test_certify_stays_sparse(monkeypatch, perturb_spin, bc, perturbation):
     def refuse(self):
         raise AssertionError("dense matrix built")
 
-    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    # every sparse matrix of the build and the certificate is a csr_matrix
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
     if perturbation:
         perturb_spin(perturbation)
     report = certify_isomorphism(LatticeConfig(2, 3, bc, 1.0))

@@ -10,9 +10,11 @@ from sector_reference import (
     translate_scalar,
 )
 
+from hexgauge import hamiltonian
 from hexgauge.lattice import BoundaryCondition, LatticeConfig, inversion, translation
 from hexgauge.spinbasis import (
     all_sectors,
+    basis_dim,
     build_orbit_table,
     build_sector,
     fold,
@@ -163,6 +165,16 @@ def test_momentum_phase_table():
 def test_capacity_guard():
     with pytest.raises(ValueError):
         state_array(LatticeConfig(5, 5, C, 1.0), False)
+
+
+def test_closed_lattice_has_no_flip_quotient():
+    # outside spins are fixed down, so a closed state and its global flip
+    # are different configurations: the quotient is refused, not halved
+    cfg = LatticeConfig(2, 2, C, 1.0)
+    for build in (basis_dim, state_array, lambda cfg, quotient: hamiltonian._assemble(cfg, quotient)):
+        with pytest.raises(ValueError, match="^the global-flip quotient needs periodic BC"):
+            build(cfg, True)
+    assert basis_dim(cfg, False) == 16 and basis_dim(LatticeConfig(2, 2, P, 1.0), True) == 8
 
 
 def test_sector_out_of_range_momentum():
